@@ -48,6 +48,10 @@ def _stage_rows(engine: EvaluationEngine) -> dict:
 
 
 def measure(quick: bool = False) -> dict:
+    try:  # "cold" means an empty result cache, not an unimported numpy
+        import repro.physical.thermal_map  # noqa: F401
+    except ImportError:
+        pass
     point = resolve(DesignSpec())
     designs = (point.baseline, point.m3d)
     ratios = [1.0 + 0.03 * i for i in range(4 if quick else 12)]

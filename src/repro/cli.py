@@ -402,13 +402,13 @@ def _run_flow_command(args: argparse.Namespace, engine,
             f"{feas.track_utilization:.0%}",
             f"{feas.ilv_utilization:.0%}",
             "-" if outcome.thermal is None
-            else f"{outcome.thermal.hotspot_rise_k:.2f}",
+            else f"{outcome.thermal.hotspot_rise_k * 1e3:.1f}",
             feas.verdict,
         ])
     print(format_table(
         f"Staged physical flow — {args.spec}",
         ["design", "CS", "footprint mm^2", "fmax MHz", "slack ns",
-         "tracks", "ILVs", "hotspot K", "feasibility"],
+         "tracks", "ILVs", "hotspot mK", "feasibility"],
         rows,
     ))
     feasible = sum(outcome.feasible for outcome in outcomes)

@@ -44,7 +44,7 @@ from repro.physical.netlist import Netlist, synthesize
 from repro.physical.placement import legalize_floorplan, placement_quality
 from repro.physical.power import ActivityFactors, PowerReport, analyze_power
 from repro.physical.routing import RoutingResult, route
-from repro.physical.thermal import ThermalReport, analyze_thermal
+from repro.physical.thermal import THERMAL_SOLVER, ThermalReport, analyze_thermal
 from repro.physical.timing import TimingResult, analyze_timing
 from repro.spec.design import FlowSpec
 from repro.tech.pdk import PDK, foundry_m3d_pdk
@@ -368,7 +368,7 @@ def run_staged_flows(
     if flow.thermal:
         dispatch("thermal", analyze_thermal, "thermal",
                  lambda s: (s.floorplan, s.power, flow.thermal_grid,
-                            flow.max_rise_k))
+                            flow.max_rise_k, THERMAL_SOLVER))
     dispatch("quality", placement_quality, "quality",
              lambda s: (s.floorplan, s.netlist))
 

@@ -8,10 +8,15 @@ rejects).  The budget it checks against comes from the shared
 :class:`~repro.core.thermal.ThermalStack`, the single home of the repo's
 thermal constants.
 
-When numpy is available the report is backed by the spatial Jacobi solve
-of :mod:`repro.physical.thermal_map`; without it, the stage degrades to
-the scalar Eq. 17 estimate (uniform heat over the die), flagged by
+When numpy is available the report is backed by the exact modal grid
+solve of :mod:`repro.physical.thermal_map`; without it, the stage degrades
+to the scalar Eq. 17 estimate (uniform heat over the die), flagged by
 ``spatial=False`` so consumers know the hotspot is a die average.
+
+:data:`THERMAL_SOLVER` names the solver.  The flow passes it as a stage
+argument (and physical spec evaluations and checkpoints fold it into
+their keys), so results cached under a different solver are recomputed
+rather than served.
 """
 
 from __future__ import annotations
@@ -23,7 +28,11 @@ from repro.errors import require
 from repro.physical.floorplan import Floorplan
 from repro.physical.power import PowerReport
 
-__all__ = ["ThermalReport", "analyze_thermal"]
+__all__ = ["THERMAL_SOLVER", "ThermalReport", "analyze_thermal"]
+
+#: Tag of the grid solver behind :func:`analyze_thermal`; part of every
+#: cache key a thermal result is stored under.
+THERMAL_SOLVER = "dct-modal"
 
 
 @dataclass(frozen=True)
@@ -65,13 +74,16 @@ def analyze_thermal(
     power: PowerReport,
     grid: int = 64,
     budget_k: float | None = None,
-    iterations: int = 400,
+    solver: str = THERMAL_SOLVER,
 ) -> ThermalReport:
     """Thermal summary of a placed design against a rise budget.
 
     ``budget_k`` defaults to the shared stack's ``max_rise``
-    (:data:`repro.tech.constants.THERMAL_MAX_RISE_K`).
+    (:data:`repro.tech.constants.THERMAL_MAX_RISE_K`).  ``solver`` must
+    name the installed solver (:data:`THERMAL_SOLVER`); it exists so the
+    solver is part of the call's cache key.
     """
+    require(solver == THERMAL_SOLVER, f"unknown thermal solver {solver!r}")
     stack = ThermalStack()
     budget = stack.max_rise if budget_k is None else budget_k
     require(budget > 0, "thermal budget must be positive")
@@ -89,8 +101,7 @@ def analyze_thermal(
             budget_k=budget,
             spatial=False,
         )
-    solved = solve_thermal_map(floorplan, power, grid=grid,
-                               iterations=iterations, stack=stack)
+    solved = solve_thermal_map(floorplan, power, grid=grid, stack=stack)
     x, y = solved.hotspot_location
     return ThermalReport(
         design_name=floorplan.name,

@@ -43,6 +43,7 @@ __all__ = [
     "evaluate_specs",
     "evaluate_sweep",
     "format_spec_evaluations",
+    "physical_call_kwargs",
 ]
 
 
@@ -196,15 +197,35 @@ def _physical_summary(spec: DesignSpec,
     )
 
 
+def physical_call_kwargs(physical: bool) -> dict[str, Any]:
+    """Engine keyword arguments of an :func:`evaluate_spec` call.
+
+    Physical calls carry the thermal solver's tag, so their cache keys
+    (and the sweep checkpoints built from them) change whenever the
+    solver does; non-physical calls pass nothing, keeping their keys.
+    """
+    if not physical:
+        return {}
+    from repro.physical.thermal import THERMAL_SOLVER
+    return {"physical": True, "thermal_solver": THERMAL_SOLVER}
+
+
 def evaluate_spec(spec: DesignSpec, pdk: PDK | None = None,
-                  physical: bool = False) -> SpecEvaluation:
+                  physical: bool = False,
+                  thermal_solver: str | None = None) -> SpecEvaluation:
     """Resolve and simulate one design spec.
 
     ``physical=True`` additionally runs the staged physical flow on both
     resolved designs (knobs from ``spec.flow``) and attaches a
     :class:`PhysicalSummary`; infeasible points return normally with
-    ``physical.feasible == False``.
+    ``physical.feasible == False``.  ``thermal_solver`` only keys the
+    call (see :func:`physical_call_kwargs`); when given it must name the
+    installed solver.
     """
+    if thermal_solver is not None:
+        from repro.physical.thermal import THERMAL_SOLVER
+        require(thermal_solver == THERMAL_SOLVER,
+                f"unknown thermal solver {thermal_solver!r}")
     point = resolve(spec, pdk)
     batch = spec.workload.batch
     benefit = compare_designs(
@@ -251,11 +272,12 @@ def evaluate_specs(
     ``physical=True`` runs the staged physical flow per point (see
     :func:`evaluate_spec`).  The flow has no vectorized form, so
     physical evaluations always take the scalar path — ``batch`` is
-    ignored for them — and cache under distinct keys (the ``physical``
-    keyword is part of the call's content hash).
+    ignored for them — and cache under distinct keys (the
+    :func:`physical_call_kwargs` keywords are part of the call's content
+    hash).
     """
     engine = engine if engine is not None else default_engine()
-    kwargs = {"physical": True} if physical else {}
+    kwargs = physical_call_kwargs(physical)
     if pdk is None:
         calls: list[tuple] = [((spec,), kwargs) for spec in specs]
     else:

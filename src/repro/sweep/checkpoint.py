@@ -15,7 +15,8 @@ Records for different sweeps never collide: each store keys its
 subdirectory by :func:`checkpoint_key`, a content hash over the sweep
 spec, the PDK, the chunk size (chunk boundaries move with it), the
 pruning flag (a pruned chunk legitimately holds fewer evaluations), and
-the physical flag (physical evaluations carry extra payload).  Each
+the physical call keywords (physical evaluations carry extra payload
+that depends on the thermal solver).  Each
 record also embeds its chunk's spec hash, so a stale or foreign file —
 like a corrupt one — degrades to "re-evaluate this chunk", never to wrong
 results.
@@ -34,7 +35,7 @@ from repro.runtime.cache import atomic_write_text
 from repro.runtime.keys import stable_key
 from repro.runtime.serialize import dumps, loads
 from repro.spec.design import DesignSpec
-from repro.spec.evaluate import SpecEvaluation
+from repro.spec.evaluate import SpecEvaluation, physical_call_kwargs
 from repro.spec.sweep import SweepSpec
 from repro.tech.pdk import PDK
 
@@ -52,7 +53,8 @@ def checkpoint_key(sweep: SweepSpec, pdk: PDK | None = None,
     """Content hash identifying one streaming run's checkpoint store."""
     return stable_key("repro.sweep.checkpoint", sweep.to_jsonable(),
                       None if pdk is None else stable_key(pdk),
-                      chunk_size, prune, physical)
+                      chunk_size, prune,
+                      physical_call_kwargs(True) if physical else False)
 
 
 @dataclass(frozen=True)

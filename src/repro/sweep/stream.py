@@ -43,7 +43,11 @@ from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import is_enabled as _obs_enabled, span as _span
 from repro.runtime.engine import EvaluationEngine, default_engine
 from repro.spec.design import DesignSpec
-from repro.spec.evaluate import SpecEvaluation, evaluate_spec
+from repro.spec.evaluate import (
+    SpecEvaluation,
+    evaluate_spec,
+    physical_call_kwargs,
+)
 from repro.spec.sweep import SweepSpec
 from repro.sweep.bounds import spec_bounds
 from repro.sweep.checkpoint import ChunkRecord, SweepCheckpoint, chunk_hash
@@ -152,7 +156,7 @@ def _calls(specs: "tuple[DesignSpec, ...] | list[DesignSpec]",
            pdk: PDK | None, physical: bool = False) -> list[tuple]:
     """Engine call specs mirroring ``evaluate_specs``'s shapes, so the
     streaming path hits the same cache entries as the eager path."""
-    kwargs: dict = {"physical": True} if physical else {}
+    kwargs = physical_call_kwargs(physical)
     if pdk is None:
         return [((spec,), kwargs) for spec in specs]
     return [((spec, pdk), kwargs) for spec in specs]

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.thermal import vertical_conductance
 from repro.experiments.folding import format_folding, run_folding
 from repro.physical.flow import run_flow
 from repro.physical.thermal_map import (
     GRID,
     power_density_grid,
+    solve_grid,
     solve_thermal_map,
 )
 
@@ -93,11 +95,15 @@ def test_case_study_thermally_trivial(maps):
     assert m3d_map.hotspot < 0.1  # kelvin
 
 
-def test_m3d_hotspot_close_to_2d(maps):
-    """The spatial extension of Obs. 2: the hotspot rise stays within a
-    few percent despite 8 active CSs (activity spreads out)."""
-    map_2d, map_m3d = maps
-    assert map_m3d.hotspot / map_2d.hotspot < 1.15
+def test_mean_rise_balances_injected_power(flows, maps):
+    """Energy balance: at steady state every injected watt leaves through
+    the vertical path, so the mean rise is sum(P) / (G_v * cells)."""
+    for flow, thermal in zip(flows, maps):
+        source, cell = power_density_grid(flow.floorplan, flow.power)
+        cells_on_die = flow.floorplan.die.area / (cell * cell)
+        g_vertical = vertical_conductance(cells_on_die)
+        expected = source.sum() / (g_vertical * source.size)
+        assert thermal.average == pytest.approx(expected, rel=1e-9)
 
 
 def test_m3d_average_warmer(maps):
@@ -121,19 +127,9 @@ def test_rise_at_matches_grid(maps):
     assert thermal.rise_at(x, y) == pytest.approx(thermal.hotspot)
 
 
-def test_uniform_power_gives_flat_field(flows):
-    """Property: a uniform source solves to a near-uniform field."""
-    flow_2d, _ = flows
-    from repro.physical.thermal_map import ThermalMap
-    import repro.physical.thermal_map as tm
-    source = np.ones((GRID, GRID)) * 1e-4
-    # Re-use the solver internals through a synthetic uniform report.
-    cells = flow_2d.floorplan.die.area
-    # Solve manually: with uniform source, lateral terms cancel.
-    from repro.tech import constants
-    g_v = 1.0 / (constants.THERMAL_R_AMBIENT * GRID * GRID)
-    expected = 1e-4 / g_v
-    # Interior cells of an actual solve should approach the closed form.
-    temp = np.full((GRID, GRID), expected)
-    residual = g_v * temp - source
-    assert np.allclose(residual, 0.0, atol=1e-9)
+def test_uniform_power_gives_flat_field():
+    """Property: a uniform source solves to the flat field P / G_v (the
+    lateral terms cancel)."""
+    g_vertical = vertical_conductance(GRID * GRID)
+    rise = solve_grid(np.full((GRID, GRID), 1e-4), g_vertical)
+    assert np.allclose(rise, 1e-4 / g_vertical, rtol=1e-12, atol=0.0)
