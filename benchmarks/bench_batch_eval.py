@@ -4,8 +4,8 @@ Compares three strategies over a scaled-up DSE joint grid (the
 ``core.dse`` axes: capacity x delta x beta x tier pairs, ResNet-18):
 
 * **legacy** — the pre-acceleration strategy: one independent scalar
-  ``evaluate_spec`` per point with memoization, fingerprint caching and
-  dedup disabled (the PR 2 baseline arm, on spec calls);
+  ``evaluate_spec`` per point with memoization and dedup disabled (the
+  PR 2 baseline arm, on spec calls);
 * **scalar cold** — the accelerated scalar path: ``evaluate_specs`` with
   memo tables and content-hash dedup, numpy unused;
 * **batch cold** — the vectorized kernel: ``evaluate_specs(batch=True)``
@@ -13,9 +13,12 @@ Compares three strategies over a scaled-up DSE joint grid (the
   cost model as array operations with delta-evaluation between
   neighboring points.
 
-A warm re-run of the batch arm on the same engine must be served
-entirely from the result cache (the batch path writes the same cache
-keys the scalar path reads).  The run also records:
+Every cold run starts from empty memo tables and freshly built specs,
+whose sections carry no canonical text yet; the interned default PDK
+builds its text once per process.  A warm re-run of the batch arm on
+the same engine must be served entirely from the result cache (the
+batch path writes the same cache keys the scalar path reads).  The run
+also records:
 
 * elementwise parity between the scalar and batch arms (the 1e-9
   acceptance bound);
@@ -41,16 +44,11 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.batch import backend_name  # noqa: E402
-from repro.batch.pack import clear_key_caches  # noqa: E402
 from repro.runtime.engine import EvaluationEngine  # noqa: E402
 from repro.runtime.memo import (  # noqa: E402
     counter_stats,
     reset_memoization,
     set_memoization,
-)
-from repro.runtime.serialize import (  # noqa: E402
-    clear_fingerprint_cache,
-    set_fingerprint_cache,
 )
 from repro.spec import (  # noqa: E402
     ArchSpec,
@@ -101,19 +99,21 @@ def paper_grid() -> "list[DesignSpec]":
 
 
 def _cold_state() -> None:
-    """Empty every process-wide cache either accelerated arm uses."""
+    """Empty every process-wide memo table either accelerated arm uses."""
     reset_memoization()
-    clear_fingerprint_cache()
-    clear_key_caches()
 
 
-def _best_of(repeats, run):
-    """Best (minimum) wall time — least noisy on a shared machine."""
+def _best_of(repeats, run, fresh=None):
+    """Best (minimum) wall time — least noisy on a shared machine.
+
+    ``fresh()``, when given, builds each run's input outside the timing.
+    """
     times = []
     result = None
     for _ in range(repeats):
+        args = () if fresh is None else (fresh(),)
         start = time.perf_counter()
-        result = run()
+        result = run(*args)
         times.append(time.perf_counter() - start)
     return min(times), times, result
 
@@ -137,37 +137,28 @@ def _max_rel_diff(reference, candidate) -> float:
 
 def measure(quick: bool = False, repeats: int = 2) -> dict:
     specs = build_specs(quick=quick)
-    calls = [(spec,) for spec in specs]
+
+    def grid():
+        return build_specs(quick=quick)
 
     # Legacy arm: pointwise scalar with every acceleration disabled.
-    def run_legacy():
-        _cold_state()
-        set_memoization(False)
-        set_fingerprint_cache(False)
-        try:
-            EvaluationEngine(jobs=1).map(evaluate_spec, calls,
-                                         stage="bench.legacy", dedup=False)
-        finally:
-            set_memoization(True)
-            set_fingerprint_cache(True)
-            _cold_state()
-
-    legacy_s, legacy_all, _ = _best_of(repeats, run_legacy)
+    legacy_s, legacy_all, _ = _best_of(repeats, _run_legacy, grid)
 
     # Accelerated scalar arm, cold.
-    def run_scalar():
+    def run_scalar(specs):
         _cold_state()
         return evaluate_specs(specs, engine=EvaluationEngine(jobs=1))
 
-    scalar_s, scalar_all, scalar_results = _best_of(repeats, run_scalar)
+    scalar_s, scalar_all, scalar_results = _best_of(repeats, run_scalar,
+                                                    grid)
 
     # Batch arm, cold.
-    def run_batch():
+    def run_batch(specs):
         _cold_state()
         return evaluate_specs(specs, engine=EvaluationEngine(jobs=1),
                               batch=True)
 
-    batch_s, batch_all, batch_results = _best_of(repeats, run_batch)
+    batch_s, batch_all, batch_results = _best_of(repeats, run_batch, grid)
     # _cold_state resets the counter registry at the top of every run,
     # so the registry now holds exactly the last cold run's counts.
     counters = _batch_counters()
@@ -187,15 +178,9 @@ def measure(quick: bool = False, repeats: int = 2) -> dict:
     warm_reevaluated = warm_stage.evaluated - len(specs)
 
     # The paper's 36-point grid, for BENCH_PR2 comparability.
-    small = paper_grid()
-    small_legacy_s, _, _ = _best_of(repeats, lambda: _run_legacy_small(small))
-    _cold_state()
-    small_scalar_s, _, _ = _best_of(repeats, lambda: (
-        _cold_state(),
-        evaluate_specs(small, engine=EvaluationEngine(jobs=1))))
-    small_batch_s, _, _ = _best_of(repeats, lambda: (
-        _cold_state(),
-        evaluate_specs(small, engine=EvaluationEngine(jobs=1), batch=True)))
+    small_legacy_s, _, _ = _best_of(repeats, _run_legacy, paper_grid)
+    small_scalar_s, _, _ = _best_of(repeats, run_scalar, paper_grid)
+    small_batch_s, _, _ = _best_of(repeats, run_batch, paper_grid)
 
     return {
         "benchmark": "vectorized batch kernel, scaled DSE joint grid "
@@ -230,17 +215,16 @@ def measure(quick: bool = False, repeats: int = 2) -> dict:
     }
 
 
-def _run_legacy_small(specs) -> None:
+def _run_legacy(specs) -> None:
+    """Pointwise scalar evaluation with memoization and dedup disabled."""
     _cold_state()
     set_memoization(False)
-    set_fingerprint_cache(False)
     try:
         EvaluationEngine(jobs=1).map(
             evaluate_spec, [(spec,) for spec in specs],
             stage="bench.legacy", dedup=False)
     finally:
         set_memoization(True)
-        set_fingerprint_cache(True)
         _cold_state()
 
 

@@ -60,12 +60,9 @@ from repro.runtime.pmap import (
     shutdown_pool,
 )
 from repro.runtime.serialize import (
-    clear_fingerprint_cache,
     dumps,
-    fingerprint_cache_enabled,
     from_jsonable,
     loads,
-    set_fingerprint_cache,
     to_jsonable,
 )
 
@@ -102,11 +99,8 @@ __all__ = [
     "pmap_calls",
     "pmap_outcomes",
     "shutdown_pool",
-    "clear_fingerprint_cache",
     "dumps",
-    "fingerprint_cache_enabled",
     "from_jsonable",
     "loads",
-    "set_fingerprint_cache",
     "to_jsonable",
 ]

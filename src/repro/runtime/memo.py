@@ -28,7 +28,8 @@ entry still embeds the wrapper.
 
 Named counters (:func:`add_counts` / :func:`counter_stats`) record
 non-cache search statistics — e.g. how many tilings the branch-and-bound
-mapper pruned versus evaluated.
+mapper pruned versus evaluated — and how often the serializer built a
+value object's carried canonical text.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import Any, Hashable, Iterator
 
 from repro.errors import require
 from repro.runtime.cache import MISSING
+from repro.runtime.serialize import TEXT_BUILDS
 
 #: Default per-table entry bound (FIFO eviction beyond it).
 DEFAULT_MAX_ENTRIES = 8192
@@ -210,10 +212,17 @@ def memo_stats() -> tuple[MemoStats, ...]:
 
 
 def counter_stats() -> tuple[CounterStats, ...]:
-    """Snapshots of every counter group, sorted by name."""
+    """Snapshots of every counter group, sorted by name.
+
+    Includes ``serialize.text_builds``: how many times each carrying
+    class built its canonical text (:mod:`repro.runtime.serialize`).
+    """
+    groups = dict(_counters)
+    if TEXT_BUILDS:
+        groups["serialize.text_builds"] = TEXT_BUILDS
     return tuple(
-        CounterStats(name=name, values=tuple(_counters[name].items()))
-        for name in sorted(_counters))
+        CounterStats(name=name, values=tuple(groups[name].items()))
+        for name in sorted(groups))
 
 
 def publish_metrics(target: "Any | None" = None) -> None:
@@ -251,3 +260,4 @@ def reset_memoization() -> None:
     for table in _iter_tables():
         table.clear()
     _counters.clear()
+    TEXT_BUILDS.clear()

@@ -22,10 +22,11 @@ tables it replaced.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError, require
+from repro.runtime.serialize import carries_text
 from repro.units import MEGABYTE
 
 __all__ = [
@@ -101,6 +102,7 @@ def _checked_str(name: str, value: Any, choices: tuple[str, ...] | None = None,
     return value
 
 
+@carries_text
 @dataclass(frozen=True)
 class TechSpec:
     """Technology overrides applied to the base PDK.
@@ -137,6 +139,7 @@ class TechSpec:
         return cls(**dict(data))
 
 
+@carries_text
 @dataclass(frozen=True)
 class ArchSpec:
     """Architecture knobs for the 2D/M3D design pair.
@@ -206,6 +209,7 @@ class ArchSpec:
         return cls(**kwargs)
 
 
+@carries_text
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Workload selection.
@@ -243,6 +247,7 @@ class WorkloadSpec:
         return cls(**dict(data))
 
 
+@carries_text
 @dataclass(frozen=True)
 class FlowSpec:
     """Physical-design flow knobs for the staged P&R pipeline.
@@ -367,10 +372,12 @@ class DesignSpec:
     against the plain single-CS 2D baseline.
     """
 
-    tech: TechSpec = field(default_factory=TechSpec)
-    arch: ArchSpec = field(default_factory=ArchSpec)
-    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    flow: FlowSpec = field(default_factory=FlowSpec)
+    # Frozen defaults are shared instances, so every spec that omits a
+    # section reuses one object and its carried canonical text.
+    tech: TechSpec = TechSpec()
+    arch: ArchSpec = ArchSpec()
+    workload: WorkloadSpec = WorkloadSpec()
+    flow: FlowSpec = FlowSpec()
 
     # --- serialization ----------------------------------------------------
 

@@ -286,7 +286,6 @@ def evaluate_specs(
         return tuple(engine.map(evaluate_spec, calls, stage="spec.evaluate",
                                 jobs=jobs))
     from repro.batch.kernel import BatchKernel
-    from repro.batch.pack import spec_call_key
 
     kernel = BatchKernel(pdk)
     size = batch_size if batch_size is not None and batch_size >= 1 \
@@ -296,7 +295,7 @@ def evaluate_specs(
             or [[]]:
         results.extend(engine.map_batched(
             evaluate_spec, chunk, batch_fn=kernel.evaluate_calls,
-            stage="spec.evaluate", key_fn=spec_call_key))
+            stage="spec.evaluate"))
     return tuple(results)
 
 

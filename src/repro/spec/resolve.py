@@ -15,10 +15,8 @@ path.  The pipeline:
    layer (:func:`build_workload`).
 
 Resolution is deterministic and simulation-free, and memoizes on the
-spec's content fingerprint plus the base PDK's content hash — *not* on
-object identity — so equal specs share work no matter where they came
-from, and the key scheme matches what the evaluation engine writes to
-disk.
+spec's value plus the base PDK's carried content key — *not* on object
+identity — so equal specs share work no matter where they came from.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from repro.workloads.transformer import base_encoder, tiny_encoder
 __all__ = ["ResolvedPoint", "build_workload", "resolve", "scaled_pdk",
            "tech_pdk"]
 
-#: Resolution memo: (spec fingerprint, PDK content hash) -> ResolvedPoint.
+#: Resolution memo: (spec, PDK content key) -> ResolvedPoint.
 _RESOLVE_MEMO = memo_table("spec.resolve")
 
 #: Scaled-PDK memo: (PDK content hash, beta) -> PDK.
@@ -89,8 +87,8 @@ def tech_pdk(tech: TechSpec, base: PDK) -> PDK:
     tech section* (keyed on the section's values plus the base PDK's
     content hash), so grids that only vary arch/workload axes build the
     adjusted PDK once instead of once per spec — and every point of such
-    a grid shares one PDK *object*, which keeps identity-based sharing
-    (fingerprint caching, worker invariant shipping) intact.
+    a grid shares one PDK *object*, which keeps its carried key and
+    identity-based sharing (worker invariant shipping) intact.
     """
     if tech.memory is None and tech.beta == 1.0:
         return base
@@ -170,11 +168,14 @@ class ResolvedPoint:
 def resolve(spec: DesignSpec, pdk: PDK | None = None) -> ResolvedPoint:
     """Resolve ``spec`` against ``pdk`` (default: the foundry M3D PDK).
 
-    Memoized on ``(spec.fingerprint(), content hash of pdk)`` — equal
-    specs resolve once per process however and wherever they were built.
+    Memoized on ``(spec, stable_key(pdk))``: a spec hashes by value and
+    the PDK carries its key, so a hit costs a few microseconds, and
+    equal (``==``) specs resolve once per process however they were
+    built.  Validation normalizes field types (floats stay floats, ints
+    stay ints), so equal specs denote the same designs.
     """
     base = pdk if pdk is not None else foundry_m3d_pdk()
-    key = (spec.fingerprint(), stable_key(base))
+    key = (spec, stable_key(base))
     point = _RESOLVE_MEMO.get(key)
     if point is not MISSING:
         return point

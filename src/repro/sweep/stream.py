@@ -218,13 +218,11 @@ def stream_sweep(
     require(checkpoint_every >= 1, "checkpoint_every must be >= 1")
     engine = engine if engine is not None else default_engine()
     frontier = frontier if frontier is not None else ParetoFrontier()
-    kernel = key_fn = None
+    kernel = None
     if batch and not physical:
         from repro.batch.kernel import BatchKernel
-        from repro.batch.pack import spec_call_key
 
         kernel = BatchKernel(pdk)
-        key_fn = spec_call_key
     store: SweepCheckpoint | None
     if checkpoint is None or isinstance(checkpoint, SweepCheckpoint):
         store = checkpoint
@@ -288,8 +286,10 @@ def stream_sweep(
     try:
         for index, chunk in enumerate(sweep.chunks(chunk_size)):
             start = time.perf_counter()
-            specs_hash = chunk_hash(chunk)
-            record = None if store is None else store.get(index, specs_hash)
+            record = specs_hash = None
+            if store is not None:  # only a store reads or records the hash
+                specs_hash = chunk_hash(chunk)
+                record = store.get(index, specs_hash)
             with _span("sweep.chunk", index=index, size=len(chunk)) as sp:
                 if record is not None:
                     if record.failures:
@@ -324,7 +324,7 @@ def stream_sweep(
                         raw = engine.map_batched(
                             evaluate_spec, _calls(survivors, pdk),
                             batch_fn=kernel.evaluate_calls,
-                            stage="sweep.evaluate", key_fn=key_fn,
+                            stage="sweep.evaluate",
                             on_error=on_error)
                         evaluations, failures = split(survivors, raw)
                     else:

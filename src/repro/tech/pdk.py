@@ -4,14 +4,19 @@
 design layers consume: the node, the tier stack, the two cell libraries, the
 RRAM bit-cell, the ILV model, and the SRAM macro density.  The factory
 :func:`foundry_m3d_pdk` produces our stand-in for the foundry 130 nm M3D PDK
-of [5] (see DESIGN.md for the substitution rationale).
+of [5] (see DESIGN.md for the substitution rationale); equal calls return
+one shared, interned PDK, which carries its canonical text and cache key
+(:func:`repro.runtime.serialize.carries_text`) so keying it costs one
+build per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from repro.errors import require
+from repro.runtime.serialize import carries_text
 from repro.tech import constants
 from repro.tech.devices import FETModel, beol_cnfet, silicon_nmos
 from repro.tech.ilv import ILVModel, default_ilv
@@ -21,6 +26,7 @@ from repro.tech.stackup import LayerStack, baseline_2d_stackup, m3d_stackup
 from repro.tech.stdcells import CellLibrary, cnfet_cell_library, silicon_cell_library
 
 
+@carries_text
 @dataclass(frozen=True)
 class PDK:
     """A process design kit for the M3D flow.
@@ -98,7 +104,17 @@ def foundry_m3d_pdk(
     node: TechnologyNode = NODE_130NM,
     cnfet_relative_drive: float = constants.CNFET_RELATIVE_DRIVE,
 ) -> PDK:
-    """Build the stand-in for the foundry 130 nm M3D PDK of [5]."""
+    """The stand-in for the foundry 130 nm M3D PDK of [5].
+
+    Interned: equal arguments return the same frozen object, so every
+    caller shares one PDK and its carried key.
+    """
+    return _foundry_m3d_pdk(node, cnfet_relative_drive)
+
+
+@lru_cache(maxsize=16, typed=True)
+def _foundry_m3d_pdk(node: TechnologyNode,
+                     cnfet_relative_drive: float) -> PDK:
     return PDK(
         name=f"foundry_m3d_{node.name}",
         node=node,

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import require
+from repro.runtime.serialize import carries_text
 from repro.workloads.layers import ConvLayer, FCLayer, Layer, PoolLayer
 
 
+@carries_text
 @dataclass(frozen=True)
 class Network:
     """An ordered DNN workload.

@@ -11,8 +11,10 @@ The contracts under test are the ones the sweeps rely on:
 * ``explore(jobs>1)`` equals ``explore(jobs=1)`` exactly, and a warm disk
   cache serves a repeat sweep with zero ``simulate`` calls;
 * within one batch, calls with identical content evaluate once
-  (``dedup_hits``), and memo tables / the fingerprint cache / the
-  persistent worker pool are observationally invisible.
+  (``dedup_hits``), and memo tables / the persistent worker pool are
+  observationally invisible;
+* ``dumps`` equals the reference encoding of the lowered tree, and
+  value objects that carry their canonical text build it once.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
+import repro.tech.pdk as pdk_module
 from repro.core.dse import DesignCandidate, evaluate_design_point, explore
 from repro.core.insights import CapacityPoint, capacity_point
 from repro.runtime import (
@@ -55,6 +60,24 @@ from repro.runtime import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import format_run_report
+from repro.physical.flow import run_staged_flows
+from repro.runtime.serialize import TEXT_BUILDS
+from repro.spec import DesignSpec, SweepSpec
+from repro.spec.design import (
+    BASELINE_POLICIES,
+    CS_PRESETS,
+    ArchSpec,
+    FlowSpec,
+    TechSpec,
+    WorkloadSpec,
+)
+from repro.spec.evaluate import evaluate_specs
+from repro.spec.resolve import resolve
+from repro.sweep import stream_sweep
+from repro.tech.constants import CNFET_RELATIVE_DRIVE
+from repro.tech.memories import memory_technology
+from repro.tech.node import NODE_130NM
+from repro.tech.pdk import foundry_m3d_pdk
 from repro.units import MEGABYTE
 from repro.workloads import resnet18, alexnet
 
@@ -525,24 +548,133 @@ class TestDedupAndPool:
         assert pmap_module._pool is None
 
 
-class TestFingerprintCache:
-    def test_dumps_matches_uncached_reference(self, pdk):
-        from repro.runtime import (
-            clear_fingerprint_cache,
-            set_fingerprint_cache,
-        )
+def _reference_text(obj) -> str:
+    """The canonical text by definition: the lowered tree, C-encoded."""
+    return json.dumps(to_jsonable(obj), sort_keys=True,
+                      separators=(",", ":"))
 
-        previous = set_fingerprint_cache(False)
-        try:
-            reference = dumps([pdk, resnet18(), {"k": (1, 2.5)}])
-            set_fingerprint_cache(True)
-            clear_fingerprint_cache()
-            cold = dumps([pdk, resnet18(), {"k": (1, 2.5)}])
-            warm = dumps([pdk, resnet18(), {"k": (1, 2.5)}])
-        finally:
-            set_fingerprint_cache(previous)
-        assert cold == reference
-        assert warm == reference
+
+_SMALL_FLOATS = st.one_of(
+    st.sampled_from([0.1, 1e-300, -0.0, 0.0, 1.0, 2.5e-7]),
+    st.floats(min_value=0.0, max_value=1.0))
+_POSITIVE = st.one_of(st.sampled_from([0.1, 1e-300, 1.3, 1e300]),
+                      st.floats(min_value=1e-6, max_value=1e6))
+_NAMES = st.text(min_size=1, max_size=12)
+
+_TECH = st.builds(TechSpec, delta=st.floats(min_value=1.0, max_value=1e6),
+                  beta=_POSITIVE, memory=st.none() | _NAMES)
+_ARCH = st.builds(ArchSpec, capacity_bits=st.integers(1, 2 ** 40),
+                  tier_pairs=st.integers(1, 16),
+                  n_cs=st.none() | st.integers(1, 4096),
+                  baseline=st.sampled_from(BASELINE_POLICIES),
+                  cs=st.sampled_from(CS_PRESETS),
+                  precision_bits=st.integers(1, 64))
+_WORKLOAD = st.builds(WorkloadSpec, network=_NAMES,
+                      layer=st.none() | _NAMES,
+                      batch=st.integers(1, 512))
+_FLOW = st.builds(FlowSpec, activity_cs=_SMALL_FLOATS,
+                  activity_channel=_SMALL_FLOATS,
+                  activity_bus=_SMALL_FLOATS,
+                  frequency_mhz=st.none() | _POSITIVE,
+                  aspect_ratio=_POSITIVE, legalize=st.booleans(),
+                  thermal_grid=st.integers(4, 256), max_rise_k=_POSITIVE,
+                  max_power_density=st.none() | _POSITIVE)
+_SECTIONS = st.one_of(_TECH, _ARCH, _WORKLOAD, _FLOW)
+_SPECS = st.builds(DesignSpec, tech=_TECH, arch=_ARCH, workload=_WORKLOAD,
+                   flow=_FLOW)
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.floats(), st.text(max_size=8), _SECTIONS)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6),
+                                  st.sampled_from(["__tuple__", "fields"])),
+                        children, max_size=4)),
+    max_leaves=12)
+
+
+class TestCanonicalText:
+    """``dumps`` is the one canonical encoder; carried text is exact."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(obj=st.one_of(_SECTIONS, _SPECS, _TREES))
+    @example(obj=[0.1, 1e-300, -0.0, float("nan"), float("inf"),
+                  -float("inf"), True, None, "\u00e9\"", 2 ** 70])
+    @example(obj={"__tuple__": (1, 2.5), "b": [{}], "a": ()})
+    @example(obj=FlowSpec(activity_cs=-0.0, activity_bus=1e-300))
+    def test_dumps_matches_reference_encoding(self, obj):
+        expected = _reference_text(obj)
+        assert dumps(obj) == expected
+        assert dumps(obj) == expected  # spliced from carried text
+
+    def test_shared_value_objects_match_reference(self, pdk):
+        for obj in (pdk, resnet18(), alexnet(), [pdk, {"k": (1, 2.5)}],
+                    foundry_m3d_pdk(cnfet_relative_drive=0.5)):
+            expected = _reference_text(obj)
+            assert dumps(obj) == expected
+            assert dumps(obj) == expected
+
+    def test_carried_text_is_built_once_per_instance(self, pdk):
+        fresh = dataclasses.replace(pdk)  # equal, carries nothing yet
+        before = TEXT_BUILDS.get("PDK", 0)
+        for _ in range(3):
+            dumps(fresh)
+            stable_key(fresh, 1)
+        assert TEXT_BUILDS["PDK"] == before + 1
+        assert dumps(fresh) == dumps(pdk)
+
+    def test_default_pdk_is_interned(self):
+        assert foundry_m3d_pdk() is foundry_m3d_pdk()
+        assert foundry_m3d_pdk(NODE_130NM) is foundry_m3d_pdk()
+        assert foundry_m3d_pdk(cnfet_relative_drive=0.5) \
+            is not foundry_m3d_pdk()
+
+    def test_derived_pdks_are_new_objects_with_new_keys(self, pdk):
+        base_key = stable_key(pdk)
+        scaled = pdk.with_ilv_pitch_factor(1.3)
+        mram = pdk.with_memory_cell(
+            memory_technology("stt_mram").cell(pdk.node))
+        keys = {base_key}
+        for derived in (scaled, mram):
+            assert derived is not pdk
+            assert dumps(derived) == _reference_text(derived)
+            keys.add(stable_key(derived))
+        assert len(keys) == 3
+        assert stable_key(pdk) == base_key
+
+    def test_interned_pdk_is_not_mutated_by_evaluation(self):
+        interned = foundry_m3d_pdk()
+        stable_key(interned)  # carry the text before the runs
+        engine = EvaluationEngine(jobs=1, use_cache=False)
+        evaluate_specs([DesignSpec()], engine=engine)
+        evaluate_specs([DesignSpec()], engine=engine, physical=True)
+        point = resolve(DesignSpec())
+        run_staged_flows((point.baseline, point.m3d), point.pdk)
+        fresh = pdk_module._foundry_m3d_pdk.__wrapped__(
+            NODE_130NM, CNFET_RELATIVE_DRIVE)
+        assert fresh is not interned
+        assert dumps(interned) == dumps(fresh) == _reference_text(interned)
+
+    def test_pruned_sweep_builds_default_pdk_text_once(self):
+        pdk_module._foundry_m3d_pdk.cache_clear()
+        reset_memoization()
+        sweep = SweepSpec.from_jsonable({
+            "base": {},
+            "grid": {"arch.capacity_mb": [16, 24, 32, 48, 64, 80, 96, 128],
+                     "arch.tier_pairs": [1, 2, 3, 4],
+                     "workload.network": ["resnet18", "mobilenet_v1"]}})
+        assert len(sweep) == 64
+        engine = EvaluationEngine(jobs=1, use_cache=False)
+        chunks = list(stream_sweep(sweep, engine=engine, chunk_size=8,
+                                   prune=True, batch=True))
+        assert sum(chunk.pruned for chunk in chunks) > 0
+        report = engine.report()
+        builds = dict(next(group.values for group in report.counters
+                           if group.name == "serialize.text_builds"))
+        assert builds["PDK"] == 1
+        assert "serialize.text_builds.PDK" in format_run_report(report)
 
 
 class TestDefaultEngine:
