@@ -18,9 +18,15 @@ records in ``BENCH_PR6.json``:
   ``evaluate_sweep`` results.
 
 ``--quick`` shrinks the grid to ~1k points for CI smoke runs; the
-measurements and invariants are identical.  ``--check`` exits non-zero
-when an invariant fails (resume re-evaluated a chunk, or the exactness
-spot check mismatched).
+measurements and invariants are identical.  ``--batch`` runs the cold
+run, the warm resume and the exactness spot check through the batch
+kernel (bounds and evaluations both), whose pruned frontier is checked
+against the exhaustive frontier of batched evaluations.  ``--check``
+exits non-zero when an invariant fails (resume re-evaluated a chunk, or
+the exactness spot check mismatched).
+
+``BENCH_PR6.json`` keeps the scalar arm at its top level and the
+``--batch`` arm of the same grid under ``batch_arm``.
 """
 
 from __future__ import annotations
@@ -69,19 +75,22 @@ def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def exactness_spot_check() -> bool:
+def exactness_spot_check(batch: bool = False) -> bool:
     """Pruned streaming frontier == brute-force frontier, 36-point grid."""
     sweep = joint_grid_sweep()
-    eager = evaluate_sweep(sweep, engine=EvaluationEngine(jobs=1))
+    eager = evaluate_sweep(sweep, engine=EvaluationEngine(jobs=1),
+                           batch=batch)
     expected = exhaustive_frontier(
         (e.footprint, e.edp_benefit, e) for e in eager)
     result = run_streaming_sweep(sweep, chunk_size=5, prune=True,
-                                 engine=EvaluationEngine(jobs=1))
+                                 engine=EvaluationEngine(jobs=1),
+                                 batch=batch)
     return result.frontier.steps() == tuple(
         dict.fromkeys((x, y) for x, y, _ in expected))
 
 
-def measure(quick: bool = False, chunk_size: int = 512) -> dict:
+def measure(quick: bool = False, chunk_size: int = 512,
+            batch: bool = False) -> dict:
     sweep = build_sweep(quick=quick)
     rss_before = _rss_mb()
 
@@ -89,7 +98,7 @@ def measure(quick: bool = False, chunk_size: int = 512) -> dict:
         cold_start = time.perf_counter()
         cold = run_streaming_sweep(
             sweep, engine=EvaluationEngine(jobs=1), chunk_size=chunk_size,
-            prune=True, checkpoint=ckpt, collect=False)
+            prune=True, checkpoint=ckpt, collect=False, batch=batch)
         cold_s = time.perf_counter() - cold_start
         rss_after = _rss_mb()
 
@@ -97,18 +106,20 @@ def measure(quick: bool = False, chunk_size: int = 512) -> dict:
         warm_start = time.perf_counter()
         warm = run_streaming_sweep(
             sweep, engine=warm_engine, chunk_size=chunk_size, prune=True,
-            checkpoint=ckpt, collect=False)
+            checkpoint=ckpt, collect=False, batch=batch)
         warm_s = time.perf_counter() - warm_start
         warm_stage = next((s for s in warm_engine.report().stages
                            if s.name == "sweep.evaluate"), None)
 
-    exact = exactness_spot_check()
+    exact = exactness_spot_check(batch=batch)
     return {
         "benchmark": "streaming sweep, capacity x tiers x precision x "
-                     "network, pruned + checkpointed, collect=False",
+                     "network, pruned + checkpointed, collect=False"
+                     + (", batched" if batch else ""),
         "grid_points": len(sweep),
         "chunk_size": chunk_size,
         "quick": quick,
+        "batch": batch,
         "cold_s": round(cold_s, 3),
         "cold_points_per_s": round(cold.points / cold_s, 1),
         "chunks": cold.chunks,
@@ -140,12 +151,15 @@ def main(argv=None) -> int:
                         help="points per streamed chunk (default 512)")
     parser.add_argument("--output", type=pathlib.Path, default=DEFAULT_OUTPUT,
                         help="where to write the JSON report")
+    parser.add_argument("--batch", action="store_true",
+                        help="bound and evaluate through the batch kernel")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero if resume re-evaluated any "
                              "chunk or the exactness spot check failed")
     args = parser.parse_args(argv)
 
-    result = measure(quick=args.quick, chunk_size=args.chunk_size)
+    result = measure(quick=args.quick, chunk_size=args.chunk_size,
+                     batch=args.batch)
     args.output.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {args.output}")
     print(f"cold   : {result['cold_s']:8.1f} s  "

@@ -20,10 +20,18 @@
    combine into :class:`~repro.spec.evaluate.SpecEvaluation` results
    with the exact ratio arithmetic of ``compare_designs``.
 
+Certified pruning bounds (:meth:`BatchKernel.bound_calls`) run the same
+three steps over the same rows: the 2D row is priced exactly (the very
+:data:`~repro.batch.pack.ROW_RESULTS` entry a survivor's evaluation
+then reads), the M3D row by :func:`_layer_bounds`, the mandatory terms
+of :func:`_layer_terms`.  Scalar
+:func:`~repro.sweep.bounds.spec_bounds` is a batch of one.
+
 The kernel plugs into ``EvaluationEngine.map_batched`` as the batch
-executor for the ``spec.evaluate`` / ``sweep.evaluate`` stages — cache
-keys, dedup and counters stay identical to the scalar path, so a batch
-run warms the same cache a scalar run reads and vice versa.
+executor for the ``spec.evaluate`` / ``sweep.evaluate`` /
+``sweep.bounds`` stages — cache keys, dedup and counters stay identical
+to the scalar path, so a batch run warms the same cache a scalar run
+reads and vice versa.
 """
 
 from __future__ import annotations
@@ -40,18 +48,20 @@ from repro.batch.pack import (
     ROW_RESULTS,
     DesignRow,
     PackedPoint,
-    UnsupportedSpec,
     WorkloadStage,
     _Namespace,
     pack_point,
     workload_stage,
 )
+from repro.errors import require
+from repro.mapper.cost import BOUND_MARGIN
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import is_enabled as _obs_enabled
 from repro.runtime.cache import MISSING
-from repro.runtime.memo import add_counts
+from repro.runtime.memo import add_counts, memo_table
 from repro.spec.design import DesignSpec
 from repro.spec.evaluate import SpecEvaluation, evaluate_spec
+from repro.sweep.bounds import PointBounds, spec_bounds
 from repro.tech.constants import SRAM_ENERGY_PER_BIT, WIRE_ENERGY_PER_BIT_MM
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 
@@ -60,9 +70,42 @@ __all__ = ["BatchKernel"]
 #: Average on-chip writeback wire length in mm (simulator's 5e-3 m / 1 mm).
 _WIRE_MM = 5e-3 / 1e-3
 
+#: M3D bound totals: (:func:`_bound_row`, workload key) -> (cycles, energy)
+#: lower bounds.  The row key drops the CS count, so every ``tier_pairs`` /
+#: ``n_cs`` sibling of a grid point shares one entry.
+ROW_BOUNDS = memo_table("batch.bounds")
+
+
+def _tiles(ops, d, f):
+    """(k_tiles, row_tiles, kernel passes) of the conv/FC slab tiling
+    (``systolic.py`` arithmetic inlined)."""
+    per_group = ops.maximum(1, ops.ceil(f.out_channels / f.groups / d.cols))
+    k_tiles = f.groups * per_group
+    packing = d.row_packing & f.is_conv & (f.group_in < d.rows) & (f.kernel > 1)
+    row_tiles = ops.where(
+        packing,
+        ops.maximum(1, ops.ceil(f.group_in * f.kernel / d.rows)),
+        ops.maximum(1, ops.ceil(f.group_in / d.rows)))
+    passes = ops.where(
+        f.is_conv, ops.where(packing, f.kernel, f.kernel * f.kernel), 1)
+    return k_tiles, row_tiles, passes
+
+
+def _dynamic_energy(d, f, fanout):
+    """Simulator's ``_dynamic_energy`` (same term order); ``fanout`` is
+    the output SRAM writes per element, ``1 + n_cs``."""
+    compute_e = f.macs * d.batch * d.mac_energy
+    weights_e = f.weights * d.precision_bits * d.read_energy
+    input_reads = f.macs * d.batch / d.cols
+    inputs_e = input_reads * d.precision_bits * SRAM_ENERGY_PER_BIT
+    output_bits = f.output_elements * d.batch * d.precision_bits
+    wire_e = output_bits * WIRE_ENERGY_PER_BIT_MM * _WIRE_MM
+    outputs_e = output_bits * SRAM_ENERGY_PER_BIT * fanout
+    return compute_e + weights_e + inputs_e + outputs_e + wire_e
+
 
 def _layer_terms(ops, d, f):
-    """(cycles, dynamic energy, leakage energy) of design x layer pairs.
+    """(cycles, energy) of design x layer pairs.
 
     ``d`` carries :class:`DesignRow` fields, ``f`` carries
     :class:`~repro.batch.pack.LayerRow` fields — either plain scalars
@@ -73,16 +116,7 @@ def _layer_terms(ops, d, f):
     identical order; ``where`` replaces control flow, and every branch
     is total (no division by zero on the untaken side).
     """
-    # Timing: conv/FC tiling (systolic.py arithmetic inlined).
-    per_group = ops.maximum(1, ops.ceil(f.out_channels / f.groups / d.cols))
-    k_tiles = f.groups * per_group
-    packing = d.row_packing & f.is_conv & (f.group_in < d.rows) & (f.kernel > 1)
-    row_tiles = ops.where(
-        packing,
-        ops.maximum(1, ops.ceil(f.group_in * f.kernel / d.rows)),
-        ops.maximum(1, ops.ceil(f.group_in / d.rows)))
-    passes = ops.where(
-        f.is_conv, ops.where(packing, f.kernel, f.kernel * f.kernel), 1)
+    k_tiles, row_tiles, passes = _tiles(ops, d, f)
     used_cs = ops.minimum(d.n_cs, k_tiles)
     slabs_per_cs = ops.ceil(k_tiles / used_cs) * row_tiles * passes
     stream = f.positions * d.batch + d.fill_cycles
@@ -90,24 +124,41 @@ def _layer_terms(ops, d, f):
     weight_load = d.weight_bits_per_slab / channel_bits
     per_slab = ops.maximum(stream, weight_load)
     conv_compute = slabs_per_cs * per_slab
-    # Timing: pooling on the per-CS vector lanes.
+    # Pooling on the per-CS vector lanes.
     pool_used = ops.minimum(
         d.n_cs, ops.maximum(1, ops.ceil(f.out_channels / d.pool_lanes)))
     pool_compute = f.macs * d.batch / d.pool_lanes / pool_used
     compute = ops.where(f.is_pool, pool_compute, conv_compute)
     writeback = f.output_elements * d.batch * d.precision_bits / d.bus_bits
     cycles = compute + writeback
-    # Energy (simulator's _dynamic_energy, same term order).
-    compute_e = f.macs * d.batch * d.mac_energy
-    weights_e = f.weights * d.precision_bits * d.read_energy
-    input_reads = f.macs * d.batch / d.cols
-    inputs_e = input_reads * d.precision_bits * SRAM_ENERGY_PER_BIT
-    output_bits = f.output_elements * d.batch * d.precision_bits
-    wire_e = output_bits * WIRE_ENERGY_PER_BIT_MM * _WIRE_MM
-    outputs_e = output_bits * SRAM_ENERGY_PER_BIT * (1 + d.n_cs)
-    dynamic = compute_e + weights_e + inputs_e + outputs_e + wire_e
+    dynamic = _dynamic_energy(d, f, 1 + d.n_cs)
     leakage = d.static_power * cycles * d.cycle_time
-    return cycles, dynamic, leakage
+    return cycles, dynamic + leakage
+
+
+def _layer_bounds(ops, d, f):
+    """(cycles, energy) lower bounds of design x layer pairs over every
+    CS count: the mandatory terms of :func:`_layer_terms`.
+
+    Conv/FC compute is ``row_tiles * passes * stream`` (every slab
+    stream-bound, ``ceil(k_tiles / used_cs) >= 1``), pooling runs at full
+    channel-tile parallelism, the writeback is exact, the output fan-out
+    is its ``n_cs = 1`` value 2 and leakage 0.  Reads no CS-count field.
+    """
+    _, row_tiles, passes = _tiles(ops, d, f)
+    stream = f.positions * d.batch + d.fill_cycles
+    conv_compute = row_tiles * passes * stream
+    channel_tiles = ops.maximum(1, ops.ceil(f.out_channels / d.pool_lanes))
+    pool_compute = f.macs * d.batch / d.pool_lanes / channel_tiles
+    compute = ops.where(f.is_pool, pool_compute, conv_compute)
+    writeback = f.output_elements * d.batch * d.precision_bits / d.bus_bits
+    return compute + writeback, _dynamic_energy(d, f, 2)
+
+
+def _bound_row(row: DesignRow) -> DesignRow:
+    """``row`` with the CS-count fields zeroed: the key every
+    ``tier_pairs`` / ``n_cs`` sibling shares in :data:`ROW_BOUNDS`."""
+    return row._replace(n_cs=0, bandwidth_bits=0, static_power=0.0)
 
 
 def _design_columns(np, rows: Sequence[DesignRow]):
@@ -119,9 +170,9 @@ def _design_columns(np, rows: Sequence[DesignRow]):
     return _Namespace(columns)
 
 
-def _evaluate_rows(rows: Sequence[DesignRow],
-                   stage: WorkloadStage) -> "list[tuple[float, float]]":
-    """Total (cycles, energy) of each design row on the stage's network."""
+def _evaluate_rows(rows: Sequence[DesignRow], stage: WorkloadStage,
+                   terms) -> "list[tuple[float, float]]":
+    """Network totals of a per-layer ``terms`` function, one per row."""
     np = active_numpy()
     if np is None:
         totals = []
@@ -129,18 +180,105 @@ def _evaluate_rows(rows: Sequence[DesignRow],
             cycles = 0.0
             energy = 0.0
             for feature in stage.layers:
-                layer_cycles, dynamic, leakage = \
-                    _layer_terms(scalar_ops, row, feature)
+                layer_cycles, layer_energy = terms(scalar_ops, row, feature)
                 cycles += layer_cycles
-                energy += dynamic + leakage
+                energy += layer_energy
             totals.append((cycles, energy))
         return totals
     d = _design_columns(np, rows)
     f = stage.columns(np)
-    cycles, dynamic, leakage = _layer_terms(numpy_ops(np), d, f)
-    total_cycles = cycles.sum(axis=1)
-    total_energy = (dynamic + leakage).sum(axis=1)
-    return list(zip(total_cycles.tolist(), total_energy.tolist()))
+    cycles, energy = terms(numpy_ops(np), d, f)
+    return list(zip(cycles.sum(axis=1).tolist(), energy.sum(axis=1).tolist()))
+
+
+def _row_totals(table, terms, keys) -> "tuple[dict, int]":
+    """``(totals, delta_hits)`` for ``(row, workload key)`` pairs.
+
+    Delta evaluation: only the distinct pairs no earlier point already
+    priced (in ``keys`` or in the memo ``table``) run through ``terms``,
+    grouped per workload; every other pair is a hit.
+    """
+    totals: dict = {}
+    pending: dict = {}
+    delta_hits = 0
+    for key in keys:
+        if key in totals or key in pending:
+            delta_hits += 1
+            continue
+        memoized = table.get(key)
+        if memoized is not MISSING:
+            totals[key] = memoized
+            delta_hits += 1
+            continue
+        pending[key] = None
+    groups: dict = {}
+    for row, workload_key in pending:
+        groups.setdefault(workload_key, []).append(row)
+    for workload_key, rows in groups.items():
+        stage = workload_stage(*workload_key)
+        for row, row_totals in zip(rows, _evaluate_rows(rows, stage, terms)):
+            key = (row, workload_key)
+            totals[key] = row_totals
+            table.put(key, row_totals)
+    return totals, delta_hits
+
+
+def _evaluate_points(
+        points: Sequence[PackedPoint]) -> "tuple[list[SpecEvaluation], int]":
+    """Evaluations of packed points, plus the delta hits it took."""
+    totals, delta_hits = _row_totals(ROW_RESULTS, _layer_terms, [
+        (row, point.workload_key)
+        for point in points for row in (point.row_2d, point.row_m3d)])
+    results = []
+    for point in points:
+        cycles_2d, energy_2d = totals[(point.row_2d, point.workload_key)]
+        cycles_m3d, energy_m3d = totals[(point.row_m3d, point.workload_key)]
+        # compare_designs ratio arithmetic, with runtime = cycles * t.
+        speedup = (cycles_2d * point.row_2d.cycle_time) \
+            / (cycles_m3d * point.row_m3d.cycle_time)
+        energy_benefit = energy_2d / energy_m3d
+        results.append(SpecEvaluation(
+            spec=point.spec,
+            n_cs_2d=point.row_2d.n_cs,
+            n_cs_m3d=point.row_m3d.n_cs,
+            footprint=point.footprint,
+            speedup=speedup,
+            energy_benefit=energy_benefit,
+            edp_benefit=speedup * energy_benefit,
+        ))
+    return results, delta_hits
+
+
+def bound_points(
+        points: Sequence[PackedPoint]) -> "tuple[list[PointBounds], int]":
+    """Certified bounds of packed points, plus the delta hits it took.
+
+    The 2D baseline is priced exactly (its :data:`ROW_RESULTS` entry is
+    the one the evaluation of a survivor reads), the M3D design by
+    :func:`_layer_bounds` memoized on its :func:`_bound_row`.
+    """
+    lower_keys = [(_bound_row(point.row_m3d), point.workload_key)
+                  for point in points]
+    exact, hits_2d = _row_totals(ROW_RESULTS, _layer_terms, [
+        (point.row_2d, point.workload_key) for point in points])
+    lower, hits_lb = _row_totals(ROW_BOUNDS, _layer_bounds, lower_keys)
+    results = []
+    for point, lower_key in zip(points, lower_keys):
+        cycles_2d, energy_2d = exact[(point.row_2d, point.workload_key)]
+        cycles_lb, energy_lb = lower[lower_key]
+        runtime_lb = cycles_lb * point.row_m3d.cycle_time
+        require(runtime_lb > 0.0 and energy_lb > 0.0,
+                "M3D lower bounds must be positive")
+        t_ratio = cycles_2d * point.row_2d.cycle_time / runtime_lb
+        e_ratio = energy_2d / energy_lb
+        results.append(PointBounds(
+            spec=point.spec,
+            footprint=point.footprint,
+            speedup_ub=t_ratio / BOUND_MARGIN,
+            energy_benefit_ub=e_ratio / BOUND_MARGIN,
+            edp_benefit_ub=t_ratio * e_ratio / BOUND_MARGIN,
+        ))
+    return results, hits_2d + hits_lb
 
 
 class BatchKernel:
@@ -190,6 +328,23 @@ class BatchKernel:
         evaluate through scalar ``evaluate_spec`` — errors those specs
         would raise scalar-side propagate unchanged.
         """
+        return self._run(calls, _evaluate_points, evaluate_spec)
+
+    def bound_calls(
+            self,
+            calls: "Sequence[tuple[tuple, dict]]") -> "list[PointBounds]":
+        """Bound normalized ``(args, kwargs)`` ``spec_bounds`` calls.
+
+        The ``batch_fn`` of the streaming sweep's ``sweep.bounds`` stage:
+        one vectorized bound per chunk over the same rows the evaluation
+        reads, with the same call acceptance and scalar fallback
+        (``spec_bounds``) as :meth:`evaluate_calls`.
+        """
+        return self._run(calls, bound_points, spec_bounds)
+
+    def _run(self, calls, price, scalar_fn) -> list:
+        """Pack the calls this kernel accepts, ``price`` them as one
+        batch, and answer the rest through ``scalar_fn``."""
         results: list = [None] * len(calls)
         packed: "list[tuple[int, PackedPoint]]" = []
         fallback: list[int] = []
@@ -203,61 +358,18 @@ class BatchKernel:
                 try:
                     packed.append((index, pack_point(args[0], self.base)))
                     continue
-                except UnsupportedSpec:
-                    pass
                 except Exception:
-                    # Invalid specs re-raise their scalar diagnostics.
+                    # Unsupported or invalid specs take the scalar path,
+                    # which raises its own diagnostics.
                     pass
             fallback.append(index)
 
-        # Delta evaluation: collect the distinct (row, workload) pairs no
-        # earlier point already evaluated; everything else is a hit.
-        local: dict = {}
-        pending: dict = {}
-        delta_hits = 0
-        for _, point in packed:
-            for row in (point.row_2d, point.row_m3d):
-                row_key = (row, point.workload_key)
-                if row_key in local or row_key in pending:
-                    delta_hits += 1
-                    continue
-                memoized = ROW_RESULTS.get(row_key)
-                if memoized is not MISSING:
-                    local[row_key] = memoized
-                    delta_hits += 1
-                    continue
-                pending[row_key] = None
-
-        groups: dict = {}
-        for row, workload_key in pending:
-            groups.setdefault(workload_key, []).append(row)
-        for workload_key, rows in groups.items():
-            stage = workload_stage(*workload_key)
-            for row, totals in zip(rows, _evaluate_rows(rows, stage)):
-                row_key = (row, workload_key)
-                local[row_key] = totals
-                ROW_RESULTS.put(row_key, totals)
-
-        for index, point in packed:
-            cycles_2d, energy_2d = local[(point.row_2d, point.workload_key)]
-            cycles_m3d, energy_m3d = local[(point.row_m3d, point.workload_key)]
-            # compare_designs ratio arithmetic, with runtime = cycles * t.
-            speedup = (cycles_2d * point.row_2d.cycle_time) \
-                / (cycles_m3d * point.row_m3d.cycle_time)
-            energy_benefit = energy_2d / energy_m3d
-            results[index] = SpecEvaluation(
-                spec=point.spec,
-                n_cs_2d=point.row_2d.n_cs,
-                n_cs_m3d=point.row_m3d.n_cs,
-                footprint=point.footprint,
-                speedup=speedup,
-                energy_benefit=energy_benefit,
-                edp_benefit=speedup * energy_benefit,
-            )
-
+        priced, delta_hits = price([point for _, point in packed])
+        for (index, _), result in zip(packed, priced):
+            results[index] = result
         for index in fallback:
             args, kwargs = calls[index]
-            results[index] = evaluate_spec(*args, **kwargs)
+            results[index] = scalar_fn(*args, **kwargs)
 
         add_counts("batch", points=len(calls), delta_hits=delta_hits,
                    fallback_scalar=len(fallback))

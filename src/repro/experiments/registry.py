@@ -74,8 +74,8 @@ class ExperimentContext:
     Attributes:
         pdk: The process-design kit every design derives from.  The CLI
             builds **one** context per invocation, so every experiment of
-            a run shares one PDK object (and with it the identity-keyed
-            memo entries, see :class:`repro.runtime.memo.IdentityKey`).
+            a run shares one PDK object (and with it the content key the
+            PDK carries, which the memo tables key on).
         engine: The evaluation engine sweeps route through.
         jobs: Worker-count override threaded into ``engine.map`` calls
             (``None`` = the engine's own count).

@@ -12,7 +12,9 @@ hopeless at the million-point grids the spec layer can express.
 3. with ``prune=True`` a cheaper ``sweep.bounds`` stage runs first
    (:func:`~repro.sweep.bounds.spec_bounds`) and every point whose bounds
    a frontier member *certifiably* dominates is skipped — provably
-   without changing the final frontier (see DESIGN.md Sec. 10);
+   without changing the final frontier (see DESIGN.md Sec. 10); with
+   ``batch=True`` the bounds also go through the kernel, one vectorized
+   bound per chunk (:meth:`~repro.batch.kernel.BatchKernel.bound_calls`);
 4. completed chunks persist as atomic checkpoint records
    (:mod:`repro.sweep.checkpoint`); re-running the same sweep replays
    them instead of re-evaluating, so a SIGKILLed sweep resumes exactly
@@ -189,8 +191,9 @@ def stream_sweep(
     against the frontier as of the *previous* chunks, which is exactly
     what replay reproduces — resumed runs prune identically.
 
-    ``batch=True`` evaluates each chunk's survivors as one vectorized
-    kernel call (:class:`repro.batch.kernel.BatchKernel`, shared across
+    ``batch=True`` evaluates each chunk's survivors — and, with
+    ``prune``, bounds the whole chunk first — as one vectorized kernel
+    call each (:class:`repro.batch.kernel.BatchKernel`, shared across
     chunks so delta-evaluation spans the whole sweep) instead of
     per-point scalar dispatch; points the kernel cannot express fall
     back to scalar evaluation inside the batch.  Cache keys, checkpoint
@@ -305,9 +308,15 @@ def stream_sweep(
                     survivors = chunk
                     pruned = 0
                     if prune and len(frontier):
-                        bounds = engine.map(
-                            spec_bounds, _calls(chunk, pdk),
-                            stage="sweep.bounds", jobs=jobs)
+                        if kernel is not None:
+                            bounds = engine.map_batched(
+                                spec_bounds, _calls(chunk, pdk),
+                                batch_fn=kernel.bound_calls,
+                                stage="sweep.bounds")
+                        else:
+                            bounds = engine.map(
+                                spec_bounds, _calls(chunk, pdk),
+                                stage="sweep.bounds", jobs=jobs)
                         kept = []
                         for spec, bound in zip(chunk, bounds):
                             if frontier.certified_dominator(

@@ -11,7 +11,11 @@ The contract under test (ISSUE PR 7 acceptance):
 * engine cache keys are identical between the paths (a scalar-warmed
   cache serves a batch run and vice versa), as are stage counters;
 * specs the kernel cannot express fall back to scalar evaluation with
-  unchanged error behavior, counted as ``batch.fallback_scalar``.
+  unchanged error behavior, counted as ``batch.fallback_scalar``;
+* certified pruning bounds priced on the kernel's rows agree between a
+  batch and a batch of one (``spec_bounds``) within 1e-12 on either
+  backend, are admissible against scalar and batched evaluations, and
+  raise the scalar diagnostics for specs the rows cannot express.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from repro.spec import (
     resolve,
     scaled_pdk,
 )
-from repro.sweep import run_streaming_sweep
+from repro.sweep import run_streaming_sweep, spec_bounds
 from repro.tech.pdk import foundry_m3d_pdk
 from repro.units import MEGABYTE
 
@@ -274,6 +278,162 @@ def test_pack_point_rejects_what_the_row_schema_cannot_express():
     with pytest.raises(UnsupportedSpec):
         pack_point(DesignSpec(arch=ArchSpec(capacity_bits=MEGABYTE)),
                    foundry_m3d_pdk())
+
+
+# --- certified pruning bounds ----------------------------------------------------
+
+BOUND_REL = 1e-12
+
+
+def _bound_grid_specs() -> list[DesignSpec]:
+    """tech.beta x baseline x capacity x tiers x precision x network."""
+    return list(SweepSpec(base=DesignSpec(), grid={
+        "tech.beta": [1.0, 1.3],
+        "arch.baseline": ["iso", "reoptimized"],
+        "arch.capacity_mb": [16, 32, 48, 64, 96, 128],
+        "arch.tier_pairs": [1, 2, 4, 8],
+        "arch.precision_bits": [4, 8],
+        "workload.network": ["resnet18", "mobilenet_v1", "tiny_encoder"],
+    }).expand())
+
+
+def _clear_row_memos():
+    from repro.batch.kernel import ROW_BOUNDS
+    from repro.batch.pack import ROW_RESULTS
+
+    ROW_RESULTS.clear()
+    ROW_BOUNDS.clear()
+
+
+@pytest.mark.parametrize("use_numpy", [True, False])
+def test_batched_bounds_match_scalar_bounds(use_numpy):
+    if use_numpy and not numpy_available():
+        pytest.skip("needs numpy")
+    specs = _bound_grid_specs()
+    assert len(specs) == 576
+    previous = set_numpy_enabled(use_numpy)
+    try:
+        _clear_row_memos()  # price every row on this backend
+        batched = BatchKernel().bound_calls([((spec,), {}) for spec in specs])
+        _clear_row_memos()
+        scalar = [spec_bounds(spec) for spec in specs]
+    finally:
+        set_numpy_enabled(previous)
+        _clear_row_memos()  # don't leak this backend's totals
+    for b, s in zip(batched, scalar):
+        assert b.spec == s.spec
+        for field in ("footprint", "speedup_ub", "energy_benefit_ub",
+                      "edp_benefit_ub"):
+            assert getattr(b, field) == pytest.approx(
+                getattr(s, field), rel=BOUND_REL, abs=0.0)
+
+
+@pytest.mark.parametrize("network", ["resnet18", "mobilenet_v1",
+                                     "tiny_encoder"])
+def test_bound_terms_are_the_simulators_mandatory_terms(network):
+    """Per layer, the M3D lower bound equals the simulator where the CS
+    count's slack vanishes: the dynamic energy at ``n_cs = 1``, and the
+    cycles with a CS per output-channel tile on every layer that is not
+    weight-load-bound (the rest stay strictly above the bound)."""
+    from repro.batch.backend import scalar_ops
+    from repro.batch.kernel import _layer_bounds
+    from repro.batch.pack import workload_stage
+    from repro.workloads.layers import LayerKind
+
+    workload = WorkloadSpec(network=network, batch=2)
+    features = workload_stage(network, None).layers
+    one, many = (DesignSpec(arch=ArchSpec(n_cs=n_cs), workload=workload)
+                 for n_cs in (1, 1024))
+    row = pack_point(one, foundry_m3d_pdk()).row_m3d
+    point = resolve(many, None)
+    design, array = point.m3d, point.m3d.cs.array
+    single = simulate(resolve(one, None).m3d, point.network, batch=2)
+    wide = simulate(design, point.network, batch=2)
+    load = array.weight_bits_per_slab() \
+        / (design.total_weight_bandwidth / design.n_cs)
+    stream_bound = 0
+    for feature, layer, at_one, at_many in zip(
+            features, point.network.layers, single.layers, wide.layers):
+        cycles, energy = _layer_bounds(scalar_ops, row, feature)
+        assert energy == at_one.dynamic_energy
+        if layer.kind == LayerKind.POOL:
+            assert cycles == at_many.cycles
+            continue
+        assert at_many.used_cs == array.k_tiles(layer)
+        fill = array.fill_drain_cycles
+        stream = (array.stream_cycles_per_slab(layer) - fill) * 2 + fill
+        if stream >= load:
+            stream_bound += 1
+            assert cycles == at_many.cycles
+        else:
+            assert cycles < at_many.cycles
+    assert stream_bound > 0
+
+
+def _assert_admissible(bound, evaluation):
+    assert bound.spec == evaluation.spec
+    assert bound.footprint == evaluation.footprint
+    assert bound.speedup_ub >= evaluation.speedup
+    assert bound.energy_benefit_ub >= evaluation.energy_benefit
+    assert bound.edp_benefit_ub >= evaluation.edp_benefit
+
+
+def test_batched_bounds_are_admissible():
+    specs = _bound_grid_specs() + EDGE_SPECS
+    bounds = BatchKernel().bound_calls([((spec,), {}) for spec in specs])
+    scalar = evaluate_specs(specs, engine=EvaluationEngine(jobs=1))
+    batched = BatchKernel().evaluate_specs(specs)
+    for bound, s, b in zip(bounds, scalar, batched):
+        _assert_admissible(bound, s)
+        _assert_admissible(bound, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_SPECS)
+def test_random_spec_bounds_admissible(spec):
+    kernel = BatchKernel()
+    try:
+        scalar = evaluate_spec(spec)
+    except ReproError:
+        with pytest.raises(ReproError):
+            kernel.bound_calls([((spec,), {})])
+        return
+    bound, = kernel.bound_calls([((spec,), {})])
+    batched, = kernel.evaluate_specs([spec])
+    _assert_admissible(bound, scalar)
+    _assert_admissible(bound, batched)
+
+
+@pytest.mark.parametrize("arch", [
+    ArchSpec(capacity_bits=MEGABYTE),
+    ArchSpec(capacity_bits=12 * MEGABYTE, cs="precision-scaled",
+             precision_bits=16),
+], ids=["1MB-8bit", "12MB-16bit"])
+def test_bounds_raise_the_scalar_diagnostic(arch):
+    # ResNet-18's weights do not fit: the rows refuse the spec and the
+    # bound raises exactly what evaluate_spec raises.
+    spec = DesignSpec(arch=arch)
+    with pytest.raises(ReproError) as scalar:
+        evaluate_spec(spec)
+    for bound in (lambda: spec_bounds(spec),
+                  lambda: BatchKernel().bound_calls([((spec,), {})])):
+        with pytest.raises(ReproError) as raised:
+            bound()
+        assert type(raised.value) is type(scalar.value)
+        assert str(raised.value) == str(scalar.value)
+
+
+def test_bounds_with_a_mismatched_pdk_fall_back_to_scalar():
+    other = scaled_pdk(foundry_m3d_pdk(), 1.5)
+    spec = DesignSpec()
+    before = dict(next((c.values for c in counter_stats()
+                        if c.name == "batch"), ()))
+    bound, = BatchKernel().bound_calls([((spec, other), {})])
+    after = dict(next(c for c in counter_stats()
+                      if c.name == "batch").values)
+    assert after["fallback_scalar"] - before.get("fallback_scalar", 0) == 1
+    assert bound == spec_bounds(spec, other)
+    assert bound != spec_bounds(spec)
 
 
 # --- wired call sites ------------------------------------------------------------

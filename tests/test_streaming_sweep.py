@@ -8,7 +8,10 @@ Three families of guarantees (DESIGN.md Sec. 10):
   surviving frontier equals the exhaustive one.  Golden Fig. 9/10 and
   Table I endpoints stay bit-identical through the streaming path.
 * **Bounds** — ``spec_bounds`` is admissible on the whole joint grid:
-  exact footprint, EDP-benefit upper bound never below the truth.
+  exact footprint, EDP-benefit upper bound never below the truth.  The
+  batched bound prunes exactly as many points as the scalar one, keeps
+  the exhaustive frontier, and never calls the scalar resolver or the
+  simulator.
 * **Durability** — a sweep SIGKILLed mid-flight resumes from its
   checkpoint: completed chunks replay (zero re-evaluations, pinned via
   RunReport stage counters) and the union equals an uninterrupted run.
@@ -16,6 +19,7 @@ Three families of guarantees (DESIGN.md Sec. 10):
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import os
 import signal
@@ -28,7 +32,14 @@ import pytest
 import repro
 from repro.core.dse import joint_grid_sweep
 from repro.runtime.engine import EvaluationEngine
-from repro.spec import ArchSpec, DesignSpec, SweepSpec, evaluate_sweep
+from repro.runtime.memo import counter_stats
+from repro.spec import (
+    ArchSpec,
+    DesignSpec,
+    SweepSpec,
+    evaluate_spec,
+    evaluate_sweep,
+)
 from repro.sweep import (
     ChunkRecord,
     SweepCheckpoint,
@@ -106,6 +117,97 @@ def test_bounds_admissible_on_the_joint_grid(joint_sweep, pdk, eager):
         assert bound.speedup_ub >= evaluation.speedup
         assert bound.energy_benefit_ub >= evaluation.energy_benefit
         assert bound.edp_benefit_ub >= evaluation.edp_benefit
+
+
+# --- batched pruning -----------------------------------------------------------
+
+
+def _sweep_1008():
+    """Capacity x tiers x precision x network: the 1008-point CI grid."""
+    return SweepSpec(base=DesignSpec(), grid={
+        "arch.capacity_mb": [12 + 2 * i for i in range(63)],
+        "arch.tier_pairs": [1, 2, 4, 8],
+        "arch.precision_bits": [4, 8],
+        "workload.network": ["resnet18", "mobilenet_v1"],
+    })
+
+
+def _frontier_specs(result):
+    return [evaluation.spec for evaluation in result.frontier_evaluations()]
+
+
+@pytest.mark.parametrize("grid, chunk_size", [("joint", 5), ("1008", 64)])
+def test_pruned_batched_frontier_is_exact(grid, chunk_size, pdk):
+    sweep = joint_grid_sweep() if grid == "joint" else _sweep_1008()
+    exhaustive = evaluate_sweep(sweep, pdk=pdk, batch=True,
+                                engine=EvaluationEngine(jobs=1))
+    expected = exhaustive_frontier(
+        (e.footprint, e.edp_benefit, e) for e in exhaustive)
+    batched = run_streaming_sweep(sweep, pdk=pdk, chunk_size=chunk_size,
+                                  prune=True, batch=True,
+                                  engine=EvaluationEngine(jobs=1))
+    assert batched.pruned > 0
+    assert batched.evaluated + batched.pruned == len(sweep)
+    assert batched.frontier.steps() == tuple(
+        dict.fromkeys((x, y) for x, y, _ in expected))
+    assert batched.frontier_evaluations() == tuple(
+        e for _, _, e in expected)
+    # The scalar pruned sweep prunes the same number of points and keeps
+    # the same frontier designs.
+    scalar = run_streaming_sweep(sweep, pdk=pdk, chunk_size=chunk_size,
+                                 prune=True, engine=EvaluationEngine(jobs=1))
+    assert scalar.pruned == batched.pruned
+    assert _frontier_specs(scalar) == _frontier_specs(batched)
+
+
+def _count_calls(monkeypatch, module_name, name):
+    """Count calls to ``module_name.name`` through every alias the package
+    imported it under; returns the list one entry is appended to per call."""
+    original = getattr(importlib.import_module(module_name), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for loaded_name, loaded in list(sys.modules.items()):
+        if loaded is None or loaded_name.split(".")[0] != "repro":
+            continue
+        for attr, value in list(vars(loaded).items()):
+            if value is original:
+                monkeypatch.setattr(loaded, attr, counted)
+    return calls
+
+
+def _batch_points():
+    return dict(next((c.values for c in counter_stats()
+                      if c.name == "batch"), ())).get("points", 0)
+
+
+def test_batched_pruning_calls_neither_resolve_nor_simulate(monkeypatch):
+    """Pruning pays for itself: bounding a chunk on the kernel's rows
+    never resolves a spec or simulates a design."""
+    simulated = _count_calls(monkeypatch, "repro.perf.simulator", "simulate")
+    resolved = _count_calls(monkeypatch, "repro.spec.resolve", "resolve")
+    sweep = SweepSpec(base=DesignSpec(), grid={
+        "arch.capacity_mb": [16, 24, 32, 48, 64, 96, 128, 192],
+        "arch.tier_pairs": [1, 2, 4, 8],
+        "arch.precision_bits": [4, 8],
+    })
+    assert len(sweep) == 64
+    before = _batch_points()
+    engine = EvaluationEngine(jobs=1)
+    result = run_streaming_sweep(sweep, chunk_size=16, prune=True,
+                                 batch=True, engine=engine)
+    bounds = _stage(engine.report(), "sweep.bounds")
+    assert bounds is not None and bounds.calls == 48
+    assert result.pruned > 0
+    # Every bound and every evaluation went through the kernel.
+    assert _batch_points() - before == bounds.calls + result.evaluated
+    assert simulated == [] and resolved == []
+    # The counters do see the scalar pipeline.
+    evaluate_spec(DesignSpec())
+    assert simulated and resolved
 
 
 # --- golden endpoints through the streaming path ---------------------------------
