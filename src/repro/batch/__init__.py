@@ -13,7 +13,8 @@ to row-wise python loops when numpy is unavailable.
 
 from repro.batch.backend import backend_name, numpy_available, set_numpy_enabled
 from repro.batch.kernel import BatchKernel
-from repro.batch.pack import DesignRow, UnsupportedSpec, pack_point, spec_call_key
+from repro.batch.pack import UnsupportedSpec, pack_point, spec_call_key
+from repro.costmodel import DesignRow
 
 __all__ = [
     "BatchKernel",

@@ -4,25 +4,30 @@
 per call; these functions evaluate whole sequences at once.  Sequences
 broadcast like numpy: a length-1 sequence pairs with every element of
 the longer one (Fig. 8's shape — one workload, one baseline, a grid of
-candidates).  With numpy the math runs as float64 arrays; without it
-each pair delegates to the scalar framework functions, so the fallback
-is bit-identical by construction and the numpy path agrees within 1e-9
-(same formulas, same operation order — only the max/min/floor ops turn
-elementwise).
+candidates).  With numpy the framework's own equation bodies
+(:func:`~repro.core.framework.time_terms` /
+:func:`~repro.core.framework.energy_terms`) run on float64 columns;
+without it each pair delegates to the scalar framework functions, so the
+fallback is bit-identical by construction and the numpy path agrees
+within 1e-9 (one body — only the max/min/floor ops turn elementwise).
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+from types import SimpleNamespace
 from typing import Sequence
 
-from repro.batch.backend import active_numpy
+from repro.batch.backend import active_numpy, numpy_ops
 from repro.core.framework import (
     DesignPoint,
     Workload,
     energy,
     energy_benefit,
+    energy_terms,
     execution_time,
     speedup,
+    time_terms,
 )
 from repro.errors import require
 
@@ -53,32 +58,14 @@ def _pick(sequence: Sequence, index: int):
     return sequence[0] if len(sequence) == 1 else sequence[index]
 
 
-def _workload_columns(np, workloads: Sequence[Workload]):
-    ops = np.array([w.compute_ops for w in workloads], dtype=np.float64)
-    bits = np.array([w.data_bits for w in workloads], dtype=np.float64)
-    partitions = np.array([w.max_partitions for w in workloads],
-                          dtype=np.float64)
-    return ops, bits, partitions
-
-
-def _design_columns(np, designs: Sequence[DesignPoint]):
-    return tuple(
-        np.array([getattr(d, name) for d in designs], dtype=np.float64)
-        for name in ("n_cs", "peak_ops_per_cycle", "bandwidth_bits_per_cycle",
-                     "memory_energy_per_bit", "compute_energy_per_op",
-                     "cs_idle_energy_per_cycle",
-                     "memory_idle_energy_per_cycle"))
-
-
-def _time_terms(np, workloads, designs):
-    """(transfer, compute, total) time arrays — Eqs. 1/4 vectorized."""
-    ops, bits, partitions = _workload_columns(np, workloads)
-    n_cs, peak, bandwidth, _, _, _, _ = _design_columns(np, designs)
-    # int(min(N#, N)) truncates toward zero == floor for N >= 1.
-    n_max = np.floor(np.minimum(partitions, n_cs))
-    transfer = bits * n_cs / bandwidth
-    compute = ops / (n_max * peak)
-    return transfer, compute, np.maximum(transfer, compute)
+def _columns(np, items: Sequence, length: int):
+    """The dataclass fields of ``items``, broadcast to ``length``, as
+    float64 columns under their attribute names."""
+    items = [_pick(items, i) for i in range(length)]
+    return SimpleNamespace(**{
+        field.name: np.array([getattr(item, field.name) for item in items],
+                             dtype=np.float64)
+        for field in fields(items[0])})
 
 
 def execution_time_batch(workloads: Sequence[Workload],
@@ -89,9 +76,8 @@ def execution_time_batch(workloads: Sequence[Workload],
     if np is None:
         return [execution_time(_pick(workloads, i), _pick(designs, i))
                 for i in range(length)]
-    workloads = [_pick(workloads, i) for i in range(length)]
-    designs = [_pick(designs, i) for i in range(length)]
-    _, _, total = _time_terms(np, workloads, designs)
+    total = time_terms(numpy_ops(np), _columns(np, workloads, length),
+                       _columns(np, designs, length))[3]
     return total.tolist()
 
 
@@ -103,21 +89,8 @@ def energy_batch(workloads: Sequence[Workload],
     if np is None:
         return [energy(_pick(workloads, i), _pick(designs, i))
                 for i in range(length)]
-    workloads = [_pick(workloads, i) for i in range(length)]
-    designs = [_pick(designs, i) for i in range(length)]
-    ops, bits, _ = _workload_columns(np, workloads)
-    n_cs, _, _, alpha, per_op, cs_idle, memory_idle = \
-        _design_columns(np, designs)
-    transfer, compute, total = _time_terms(np, workloads, designs)
-    partitions = _workload_columns(np, workloads)[2]
-    n_max = np.floor(np.minimum(partitions, n_cs))
-    access = alpha * bits
-    memory_stall = memory_idle * (total - transfer)
-    unused_cs = (n_cs - n_max) * cs_idle * total
-    stalled_cs = n_cs * cs_idle * (total - compute)
-    ops_energy = per_op * ops
-    return (access + memory_stall + unused_cs + stalled_cs
-            + ops_energy).tolist()
+    return energy_terms(numpy_ops(np), _columns(np, workloads, length),
+                        _columns(np, designs, length)).tolist()
 
 
 def speedup_batch(workloads: Sequence[Workload],

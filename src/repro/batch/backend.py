@@ -1,15 +1,16 @@
 """Array-backend selection for the vectorized batch kernel.
 
-The kernel's formulas are written once against the tiny op set of
-:class:`ArrayOps` (``maximum``/``minimum``/``where``/``ceil``) and run in
-one of two modes:
+The cost model and the analytical equations are written once against
+the tiny op set of :class:`~repro.costmodel.ArrayOps`
+(``maximum``/``minimum``/``where``/``ceil``/``floor``) and run in one of
+two modes:
 
 * **numpy** — operands are broadcast arrays, one row per design and one
   column per workload layer, so a whole batch evaluates in a handful of
   ufunc passes;
 * **python** — numpy is not importable (or was forced off with
   :func:`set_numpy_enabled`): the *same* formula body runs on plain
-  floats, row by row, which keeps the batch path available everywhere
+  floats (:data:`~repro.costmodel.scalar_ops`), row by row, which keeps the batch path available everywhere
   and gives the numpy mode an exact reference to agree with.
 
 Nothing outside this module imports numpy, so ``import repro.batch``
@@ -18,8 +19,7 @@ works on a numpy-less interpreter.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable
+from repro.costmodel import ArrayOps
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
     import numpy as _numpy
@@ -56,36 +56,7 @@ def backend_name() -> str:
     return "numpy" if active_numpy() is not None else "python"
 
 
-class ArrayOps:
-    """The op set shared by the numpy and scalar formula bodies.
-
-    ``where`` evaluates both branches in scalar mode (like numpy's); every
-    kernel formula is total over its domain, so that is safe.
-    """
-
-    __slots__ = ("maximum", "minimum", "where", "ceil")
-
-    def __init__(self,
-                 maximum: Callable[[Any, Any], Any],
-                 minimum: Callable[[Any, Any], Any],
-                 where: Callable[[Any, Any, Any], Any],
-                 ceil: Callable[[Any], Any]) -> None:
-        self.maximum = maximum
-        self.minimum = minimum
-        self.where = where
-        self.ceil = ceil
-
-
-#: Scalar mode: python builtins over one (design row, layer) pair.
-scalar_ops = ArrayOps(
-    maximum=max,
-    minimum=min,
-    where=lambda condition, then, otherwise: then if condition else otherwise,
-    ceil=math.ceil,
-)
-
-
 def numpy_ops(np) -> ArrayOps:
     """The op set bound to a numpy module."""
     return ArrayOps(maximum=np.maximum, minimum=np.minimum,
-                    where=np.where, ceil=np.ceil)
+                    where=np.where, ceil=np.ceil, floor=np.floor)

@@ -3,18 +3,18 @@
 :class:`BatchKernel` evaluates many ``evaluate_spec`` calls at once:
 
 1. **Pack** (python, per point): each spec lowers to two
-   :class:`~repro.batch.pack.DesignRow` parameter rows through the
+   :class:`~repro.costmodel.DesignRow` parameter rows through the
    delta-evaluation stage tables (:mod:`repro.batch.pack`), mirroring
    the scalar resolver's float arithmetic exactly.  Specs the row
    schema cannot express fall back to scalar ``evaluate_spec``
    (counted as ``batch.fallback_scalar``).
 2. **Evaluate** (arrays): the distinct ``(design row, workload)`` pairs
    that no earlier point — in this batch or a previous one — already
-   evaluated run through :func:`_layer_terms`, the per-layer cost model
-   written once against :class:`~repro.batch.backend.ArrayOps`.  With
-   numpy the whole group computes as (rows x layers) broadcast
-   matrices; without it the same body loops row by row on plain floats
-   (bit-identical to the scalar simulator).  Reused pairs count as
+   evaluated run through :func:`~repro.costmodel.layer_terms`, the one
+   per-layer cost model the simulator also runs.  With numpy the whole
+   group computes as (rows x layers) broadcast matrices; without it the
+   same body loops row by row on plain floats, which is exactly what
+   the simulator does per layer.  Reused pairs count as
    ``batch.delta_hits``.
 3. **Assemble** (python, per point): per-design cycle/energy totals
    combine into :class:`~repro.spec.evaluate.SpecEvaluation` results
@@ -23,8 +23,8 @@
 Certified pruning bounds (:meth:`BatchKernel.bound_calls`) run the same
 three steps over the same rows: the 2D row is priced exactly (the very
 :data:`~repro.batch.pack.ROW_RESULTS` entry a survivor's evaluation
-then reads), the M3D row by :func:`_layer_bounds`, the mandatory terms
-of :func:`_layer_terms`.  Scalar
+then reads), the M3D row by :func:`~repro.costmodel.layer_bounds`, the
+mandatory terms of the same model.  Scalar
 :func:`~repro.sweep.bounds.spec_bounds` is a batch of one.
 
 The kernel plugs into ``EvaluationEngine.map_batched`` as the batch
@@ -36,23 +36,18 @@ reads and vice versa.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Sequence
 
-from repro.batch.backend import (
-    active_numpy,
-    backend_name,
-    numpy_ops,
-    scalar_ops,
-)
+from repro.batch.backend import active_numpy, backend_name, numpy_ops
 from repro.batch.pack import (
     ROW_RESULTS,
-    DesignRow,
     PackedPoint,
     WorkloadStage,
-    _Namespace,
     pack_point,
     workload_stage,
 )
+from repro.costmodel import DesignRow, layer_bounds, layer_terms, scalar_ops
 from repro.errors import require
 from repro.mapper.cost import BOUND_MARGIN
 from repro.obs.metrics import registry as _metrics_registry
@@ -62,13 +57,9 @@ from repro.runtime.memo import add_counts, memo_table
 from repro.spec.design import DesignSpec
 from repro.spec.evaluate import SpecEvaluation, evaluate_spec
 from repro.sweep.bounds import PointBounds, spec_bounds
-from repro.tech.constants import SRAM_ENERGY_PER_BIT, WIRE_ENERGY_PER_BIT_MM
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 
 __all__ = ["BatchKernel"]
-
-#: Average on-chip writeback wire length in mm (simulator's 5e-3 m / 1 mm).
-_WIRE_MM = 5e-3 / 1e-3
 
 #: M3D bound totals: (:func:`_bound_row`, workload key) -> (cycles, energy)
 #: lower bounds.  The row key drops the CS count, so every ``tier_pairs`` /
@@ -76,83 +67,11 @@ _WIRE_MM = 5e-3 / 1e-3
 ROW_BOUNDS = memo_table("batch.bounds")
 
 
-def _tiles(ops, d, f):
-    """(k_tiles, row_tiles, kernel passes) of the conv/FC slab tiling
-    (``systolic.py`` arithmetic inlined)."""
-    per_group = ops.maximum(1, ops.ceil(f.out_channels / f.groups / d.cols))
-    k_tiles = f.groups * per_group
-    packing = d.row_packing & f.is_conv & (f.group_in < d.rows) & (f.kernel > 1)
-    row_tiles = ops.where(
-        packing,
-        ops.maximum(1, ops.ceil(f.group_in * f.kernel / d.rows)),
-        ops.maximum(1, ops.ceil(f.group_in / d.rows)))
-    passes = ops.where(
-        f.is_conv, ops.where(packing, f.kernel, f.kernel * f.kernel), 1)
-    return k_tiles, row_tiles, passes
-
-
-def _dynamic_energy(d, f, fanout):
-    """Simulator's ``_dynamic_energy`` (same term order); ``fanout`` is
-    the output SRAM writes per element, ``1 + n_cs``."""
-    compute_e = f.macs * d.batch * d.mac_energy
-    weights_e = f.weights * d.precision_bits * d.read_energy
-    input_reads = f.macs * d.batch / d.cols
-    inputs_e = input_reads * d.precision_bits * SRAM_ENERGY_PER_BIT
-    output_bits = f.output_elements * d.batch * d.precision_bits
-    wire_e = output_bits * WIRE_ENERGY_PER_BIT_MM * _WIRE_MM
-    outputs_e = output_bits * SRAM_ENERGY_PER_BIT * fanout
-    return compute_e + weights_e + inputs_e + outputs_e + wire_e
-
-
-def _layer_terms(ops, d, f):
-    """(cycles, energy) of design x layer pairs.
-
-    ``d`` carries :class:`DesignRow` fields, ``f`` carries
-    :class:`~repro.batch.pack.LayerRow` fields — either plain scalars
-    (python mode) or broadcastable column/row vectors (numpy mode:
-    ``d.*`` are (R, 1), ``f.*`` are (1, L), every expression is (R, L)).
-    The formulas restate ``AcceleratorSimulator._conv_fc_cycles`` /
-    ``_pool_cycles`` / ``_dynamic_energy`` with identical operations in
-    identical order; ``where`` replaces control flow, and every branch
-    is total (no division by zero on the untaken side).
-    """
-    k_tiles, row_tiles, passes = _tiles(ops, d, f)
-    used_cs = ops.minimum(d.n_cs, k_tiles)
-    slabs_per_cs = ops.ceil(k_tiles / used_cs) * row_tiles * passes
-    stream = f.positions * d.batch + d.fill_cycles
-    channel_bits = d.bandwidth_bits / d.n_cs
-    weight_load = d.weight_bits_per_slab / channel_bits
-    per_slab = ops.maximum(stream, weight_load)
-    conv_compute = slabs_per_cs * per_slab
-    # Pooling on the per-CS vector lanes.
-    pool_used = ops.minimum(
-        d.n_cs, ops.maximum(1, ops.ceil(f.out_channels / d.pool_lanes)))
-    pool_compute = f.macs * d.batch / d.pool_lanes / pool_used
-    compute = ops.where(f.is_pool, pool_compute, conv_compute)
-    writeback = f.output_elements * d.batch * d.precision_bits / d.bus_bits
-    cycles = compute + writeback
-    dynamic = _dynamic_energy(d, f, 1 + d.n_cs)
-    leakage = d.static_power * cycles * d.cycle_time
-    return cycles, dynamic + leakage
-
-
-def _layer_bounds(ops, d, f):
-    """(cycles, energy) lower bounds of design x layer pairs over every
-    CS count: the mandatory terms of :func:`_layer_terms`.
-
-    Conv/FC compute is ``row_tiles * passes * stream`` (every slab
-    stream-bound, ``ceil(k_tiles / used_cs) >= 1``), pooling runs at full
-    channel-tile parallelism, the writeback is exact, the output fan-out
-    is its ``n_cs = 1`` value 2 and leakage 0.  Reads no CS-count field.
-    """
-    _, row_tiles, passes = _tiles(ops, d, f)
-    stream = f.positions * d.batch + d.fill_cycles
-    conv_compute = row_tiles * passes * stream
-    channel_tiles = ops.maximum(1, ops.ceil(f.out_channels / d.pool_lanes))
-    pool_compute = f.macs * d.batch / d.pool_lanes / channel_tiles
-    compute = ops.where(f.is_pool, pool_compute, conv_compute)
-    writeback = f.output_elements * d.batch * d.precision_bits / d.bus_bits
-    return compute + writeback, _dynamic_energy(d, f, 2)
+def _layer_totals(ops, d, f):
+    """(cycles, energy) of design x layer pairs: the sums of
+    :func:`~repro.costmodel.layer_terms`."""
+    _, compute, writeback, dynamic, leakage = layer_terms(ops, d, f)
+    return compute + writeback, dynamic + leakage
 
 
 def _bound_row(row: DesignRow) -> DesignRow:
@@ -167,7 +86,7 @@ def _design_columns(np, rows: Sequence[DesignRow]):
     for name, values in zip(DesignRow._fields, zip(*rows)):
         dtype = bool if name == "row_packing" else np.float64
         columns[name] = np.array(values, dtype=dtype)[:, None]
-    return _Namespace(columns)
+    return SimpleNamespace(**columns)
 
 
 def _evaluate_rows(rows: Sequence[DesignRow], stage: WorkloadStage,
@@ -226,7 +145,7 @@ def _row_totals(table, terms, keys) -> "tuple[dict, int]":
 def _evaluate_points(
         points: Sequence[PackedPoint]) -> "tuple[list[SpecEvaluation], int]":
     """Evaluations of packed points, plus the delta hits it took."""
-    totals, delta_hits = _row_totals(ROW_RESULTS, _layer_terms, [
+    totals, delta_hits = _row_totals(ROW_RESULTS, _layer_totals, [
         (row, point.workload_key)
         for point in points for row in (point.row_2d, point.row_m3d)])
     results = []
@@ -255,13 +174,14 @@ def bound_points(
 
     The 2D baseline is priced exactly (its :data:`ROW_RESULTS` entry is
     the one the evaluation of a survivor reads), the M3D design by
-    :func:`_layer_bounds` memoized on its :func:`_bound_row`.
+    :func:`~repro.costmodel.layer_bounds` memoized on its
+    :func:`_bound_row`.
     """
     lower_keys = [(_bound_row(point.row_m3d), point.workload_key)
                   for point in points]
-    exact, hits_2d = _row_totals(ROW_RESULTS, _layer_terms, [
+    exact, hits_2d = _row_totals(ROW_RESULTS, _layer_totals, [
         (point.row_2d, point.workload_key) for point in points])
-    lower, hits_lb = _row_totals(ROW_BOUNDS, _layer_bounds, lower_keys)
+    lower, hits_lb = _row_totals(ROW_BOUNDS, layer_bounds, lower_keys)
     results = []
     for point, lower_key in zip(points, lower_keys):
         cycles_2d, energy_2d = exact[(point.row_2d, point.workload_key)]

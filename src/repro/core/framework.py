@@ -8,6 +8,13 @@ energy adds idle terms for the memory and for every CS over its stall time.
 
 All quantities are per *cycle* on the time axis (the paper works in cycles)
 and joules on the energy axis.
+
+Eqs. 1/4 and 6/7 are written once, in :func:`time_terms` and
+:func:`energy_terms`, on the op set of :class:`~repro.costmodel.ArrayOps`
+over any objects carrying :class:`Workload` / :class:`DesignPoint`
+attribute names.  The functions here run them on plain numbers
+(:data:`~repro.costmodel.scalar_ops`); :mod:`repro.batch.analytical`
+runs the same bodies on numpy columns.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from repro.costmodel import scalar_ops
 from repro.errors import require
 
 
@@ -88,26 +96,23 @@ class DesignPoint:
         return replace(self, bandwidth_bits_per_cycle=bandwidth_bits_per_cycle)
 
 
-def used_partitions(workload: Workload, design: DesignPoint) -> int:
-    """N_max = min(N#, N): CSs that can actually work in parallel."""
-    return int(min(workload.max_partitions, design.n_cs))
+def time_terms(ops, workload, design):
+    """(N_max, transfer, compute, T) — Eq. 1 (N = 1) and Eq. 4 (general N).
 
-
-def execution_time(workload: Workload, design: DesignPoint) -> float:
-    """Execution time in cycles — Eq. 1 (N = 1) and Eq. 4 (general N).
+    N_max = min(N#, N) CSs work in parallel, and
 
     T = max(D0 * N / B,  F0 / (N_max * P_peak))
 
     The D0 * N / B term models the broadcast of the workload's data to every
     partition over per-partition bandwidth B / N.
     """
-    n_max = used_partitions(workload, design)
+    n_max = ops.floor(ops.minimum(workload.max_partitions, design.n_cs))
     transfer = workload.data_bits * design.n_cs / design.bandwidth_bits_per_cycle
     compute = workload.compute_ops / (n_max * design.peak_ops_per_cycle)
-    return max(transfer, compute)
+    return n_max, transfer, compute, ops.maximum(transfer, compute)
 
 
-def energy(workload: Workload, design: DesignPoint) -> float:
+def energy_terms(ops, workload, design):
     """Total energy in joules — Eq. 6 (N = 1) and Eq. 7 (general N).
 
     E = alpha * D0
@@ -116,16 +121,28 @@ def energy(workload: Workload, design: DesignPoint) -> float:
         + N * E_C^idle * (T - F0 / (N_max * P_peak))  [compute stall]
         + E_C * F0
     """
-    n_max = used_partitions(workload, design)
-    t_total = execution_time(workload, design)
-    transfer = workload.data_bits * design.n_cs / design.bandwidth_bits_per_cycle
-    compute = workload.compute_ops / (n_max * design.peak_ops_per_cycle)
+    n_max, transfer, compute, t_total = time_terms(ops, workload, design)
     access = design.memory_energy_per_bit * workload.data_bits
     memory_idle = design.memory_idle_energy_per_cycle * (t_total - transfer)
     unused_cs = (design.n_cs - n_max) * design.cs_idle_energy_per_cycle * t_total
     stalled_cs = design.n_cs * design.cs_idle_energy_per_cycle * (t_total - compute)
-    ops = design.compute_energy_per_op * workload.compute_ops
-    return access + memory_idle + unused_cs + stalled_cs + ops
+    ops_energy = design.compute_energy_per_op * workload.compute_ops
+    return access + memory_idle + unused_cs + stalled_cs + ops_energy
+
+
+def used_partitions(workload: Workload, design: DesignPoint) -> int:
+    """N_max = min(N#, N): CSs that can actually work in parallel."""
+    return time_terms(scalar_ops, workload, design)[0]
+
+
+def execution_time(workload: Workload, design: DesignPoint) -> float:
+    """Execution time in cycles — Eqs. 1/4 (:func:`time_terms`)."""
+    return time_terms(scalar_ops, workload, design)[3]
+
+
+def energy(workload: Workload, design: DesignPoint) -> float:
+    """Total energy in joules — Eqs. 6/7 (:func:`energy_terms`)."""
+    return energy_terms(scalar_ops, workload, design)
 
 
 def speedup(workload: Workload, baseline: DesignPoint, m3d: DesignPoint) -> float:

@@ -1,46 +1,31 @@
-"""Layer-by-layer execution model for the case-study accelerator.
+"""Layer-by-layer execution of a DNN on the case-study accelerator.
 
-Timing model (validated against the paper's Table I, see DESIGN.md Sec. 5):
-
-* A conv/FC layer is tiled into weight slabs on each CS's systolic array;
-  each slab streams the output feature map plus a pipeline fill/drain
-  overhead; slab weight loading is double-buffered and only costs time when
-  it exceeds the streaming time (which makes FC layers weight-load-bound).
-* Across CSs the layer partitions along output-channel tiles: with N CSs
-  and Kt tiles, min(N, Kt) CSs are used (the paper's N_max = min(N, N#)).
-* Output writeback shares a single chip-level bus in both designs, so it
-  does **not** parallelize — this serial term is why the paper's per-layer
-  speedups saturate below N (e.g. 7.8x, not 8x, for ResNet-18 stage 4).
-* Pooling runs on the per-CS post-processing vector units, partitioned
-  channel-wise.
-
-Energy model (Eqs. 6-7 structure): compute energy per MAC, RRAM weight-read
-energy per bit, SRAM streaming energy per bit, output writeback (SRAM +
-bus wire), and leakage of every CS and the memory peripherals over the
-layer's runtime — idle CSs keep leaking, which is how the M3D energy stays
-~1.0x the 2D baseline's despite the 5.7x shorter runtime.
+:class:`AcceleratorSimulator` lowers its design to one
+:class:`~repro.costmodel.DesignRow` and prices each layer with
+:func:`~repro.costmodel.layer_terms` on :data:`~repro.costmodel.scalar_ops`
+— the same body the batch kernel evaluates over arrays, so the two
+paths agree by construction.  The timing and energy model itself
+(slab tiling, double-buffered weight loads, the serial writeback bus,
+pooling lanes, leakage of idle CSs) is documented in
+:mod:`repro.costmodel` and validated against the paper's Table I
+(DESIGN.md Sec. 5).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
+from repro.costmodel import DesignRow, layer_row, layer_terms, scalar_ops
 from repro.errors import require
 from repro.obs.trace import span as _span
-from repro.tech import constants
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 from repro.arch.accelerator import AcceleratorDesign, peripheral_area
-from repro.arch.systolic import SystolicArrayConfig
 from repro.runtime.cache import MISSING
 from repro.runtime.memo import memo_table
-from repro.workloads.layers import Layer, LayerKind, shape_key
+from repro.workloads.layers import Layer, shape_key
 from repro.workloads.models import Network
 
-#: Average on-chip distance for writeback-bus transfers, metres.
-_WRITEBACK_WIRE_LENGTH = 5e-3
-
-#: Layer-level memo: (design fingerprint, layer shape) -> numeric results.
+#: Layer-level memo: (design row, layer shape) -> layer_terms results.
 _LAYER_MEMO = memo_table("simulator.layer")
 
 
@@ -135,22 +120,27 @@ class AcceleratorSimulator:
         self.design = design
         self.pdk = pdk if pdk is not None else foundry_m3d_pdk()
         self.batch = batch
-        self._static_power = self._compute_static_power()
+        array = design.cs.array
         # Everything run_layer reads beyond the layer itself, so equal
-        # fingerprints make layer results interchangeable — including
-        # across *different* designs (e.g. 2D baselines that differ only
-        # in footprint).  Documented in DESIGN.md ("Layer memoization").
-        self._fingerprint = (
-            design.cs.array,
-            design.n_cs,
-            design.total_weight_bandwidth,
-            design.writeback_bus_bits,
-            design.precision_bits,
-            design.pool_lanes,
-            design.bank_plan.array.cell.read_energy_per_bit,
-            design.cycle_time,
-            self._static_power,
-            batch,
+        # rows make layer results interchangeable — including across
+        # *different* designs (e.g. 2D baselines that differ only in
+        # footprint).  Documented in DESIGN.md ("Layer memoization").
+        self.row = DesignRow(
+            n_cs=design.n_cs,
+            bandwidth_bits=design.total_weight_bandwidth,
+            precision_bits=design.precision_bits,
+            read_energy=design.bank_plan.array.cell.read_energy_per_bit,
+            mac_energy=array.pe.mac_energy,
+            static_power=self._compute_static_power(),
+            cycle_time=design.cycle_time,
+            rows=array.rows,
+            cols=array.cols,
+            fill_cycles=array.fill_drain_cycles,
+            weight_bits_per_slab=array.weight_bits_per_slab(),
+            pool_lanes=design.pool_lanes,
+            bus_bits=design.writeback_bus_bits,
+            row_packing=array.enable_row_packing,
+            batch=batch,
         )
 
     def _compute_static_power(self) -> float:
@@ -169,102 +159,35 @@ class AcceleratorSimulator:
     @property
     def static_power(self) -> float:
         """Chip static power in watts."""
-        return self._static_power
-
-    # --- timing -----------------------------------------------------------
-
-    def _conv_fc_cycles(self, layer: Layer) -> tuple[int, float, float]:
-        """(used_cs, compute_cycles, writeback_cycles) for conv/FC layers."""
-        design = self.design
-        array: SystolicArrayConfig = design.cs.array
-        k_tiles = array.k_tiles(layer)
-        used_cs = min(design.n_cs, k_tiles)
-        slabs_per_cs = (math.ceil(k_tiles / used_cs)
-                        * array.row_tiles(layer) * array.kernel_passes(layer))
-        fill = array.fill_drain_cycles
-        per_input_stream = array.stream_cycles_per_slab(layer) - fill
-        stream = per_input_stream * self.batch + fill
-        # Each CS's weight channel: private bank in M3D, a share of the
-        # single channel in (possibly enlarged, Case 1) 2D baselines.
-        channel_bits = design.total_weight_bandwidth / design.n_cs
-        weight_load = array.weight_bits_per_slab() / channel_bits
-        per_slab = max(stream, weight_load)
-        compute = slabs_per_cs * per_slab
-        writeback = (layer.output_elements * self.batch
-                     * design.precision_bits / design.writeback_bus_bits)
-        return used_cs, compute, writeback
-
-    def _pool_cycles(self, layer: Layer) -> tuple[int, float, float]:
-        """(used_cs, compute_cycles, writeback_cycles) for pooling layers."""
-        design = self.design
-        lanes = design.pool_lanes
-        channel_tiles = max(1, math.ceil(layer.out_channels / lanes))
-        used_cs = min(design.n_cs, channel_tiles)
-        compute = layer.macs * self.batch / lanes / used_cs
-        writeback = (layer.output_elements * self.batch
-                     * design.precision_bits / design.writeback_bus_bits)
-        return used_cs, compute, writeback
-
-    # --- energy ------------------------------------------------------------
-
-    def _dynamic_energy(self, layer: Layer, used_cs: int) -> float:
-        """Dynamic energy of one layer in joules."""
-        design = self.design
-        precision = design.precision_bits
-        mac_energy = design.cs.array.pe.mac_energy
-        compute = layer.macs * self.batch * mac_energy
-        # Weight slabs are loaded once regardless of the batch size.
-        read_energy = design.bank_plan.array.cell.read_energy_per_bit
-        weights = layer.weights * precision * read_energy
-        # Input streaming: `rows` operands enter each array per cycle while
-        # `rows * cols` MACs retire, so SRAM read traffic is macs / cols.
-        input_reads = layer.macs * self.batch / design.cs.array.cols
-        inputs = input_reads * precision * constants.SRAM_ENERGY_PER_BIT
-        # Outputs: one SRAM write at the producer, a bus transfer, and one
-        # SRAM write into each consumer CS's input buffer.
-        output_bits = layer.output_elements * self.batch * precision
-        wire = (output_bits * constants.WIRE_ENERGY_PER_BIT_MM
-                * (_WRITEBACK_WIRE_LENGTH / 1e-3))
-        outputs = output_bits * constants.SRAM_ENERGY_PER_BIT * (1 + design.n_cs)
-        return compute + weights + inputs + outputs + wire
-
-    # --- execution -----------------------------------------------------------
+        return self.row.static_power
 
     def run_layer(self, layer: Layer) -> LayerExecution:
         """Execute one layer and return its timing/energy breakdown.
 
-        Results memoize on ``(design fingerprint, layer shape)``: the
-        numeric breakdown of a repeated shape (ResNet residual blocks,
-        identical layers across sweep points) is computed once and
-        re-attached to each requesting layer.
+        Results memoize on ``(design row, layer shape)``: the numeric
+        breakdown of a repeated shape (ResNet residual blocks, identical
+        layers across sweep points) is computed once and re-attached to
+        each requesting layer.
         """
-        key = (self._fingerprint, shape_key(layer))
+        key = (self.row, shape_key(layer))
         memoized = _LAYER_MEMO.get(key)
         if memoized is not MISSING:
             with _span("simulator.run_layer") as sp:
                 if sp:
                     sp.set(layer=layer.name, memo="hit")
-            used_cs, compute, writeback, cycles, dynamic, leakage = memoized
         else:
             with _span("simulator.run_layer") as sp:
                 if sp:
                     sp.set(layer=layer.name, memo="miss")
-                if layer.kind == LayerKind.POOL:
-                    used_cs, compute, writeback = self._pool_cycles(layer)
-                else:
-                    used_cs, compute, writeback = self._conv_fc_cycles(layer)
-                cycles = compute + writeback
-                dynamic = self._dynamic_energy(layer, used_cs)
-                leakage = (self._static_power * cycles
-                           * self.design.cycle_time)
-            _LAYER_MEMO.put(
-                key, (used_cs, compute, writeback, cycles, dynamic, leakage))
+                memoized = layer_terms(scalar_ops, self.row, layer_row(layer))
+            _LAYER_MEMO.put(key, memoized)
+        used_cs, compute, writeback, dynamic, leakage = memoized
         return LayerExecution(
             layer=layer,
             used_cs=used_cs,
             compute_cycles=compute,
             writeback_cycles=writeback,
-            cycles=cycles,
+            cycles=compute + writeback,
             dynamic_energy=dynamic,
             leakage_energy=leakage,
         )
@@ -287,20 +210,3 @@ def simulate(design: AcceleratorDesign, network: Network,
     """Convenience wrapper: simulate ``network`` on ``design``."""
     return AcceleratorSimulator(design, pdk, batch=batch).run(network)
 
-
-def simulate_spec(spec, pdk: PDK | None = None,
-                  batch: int | None = None) -> tuple[ExecutionReport, ExecutionReport]:
-    """Simulate the 2D/M3D pair a :class:`~repro.spec.design.DesignSpec`
-    denotes, returning ``(baseline_report, m3d_report)``.
-
-    ``batch`` overrides the spec's workload batch.  The import is local:
-    the spec layer's evaluator imports this module.
-    """
-    from repro.spec.resolve import resolve
-
-    point = resolve(spec, pdk)
-    batch = batch if batch is not None else spec.workload.batch
-    return (
-        simulate(point.baseline, point.network, point.pdk, batch=batch),
-        simulate(point.m3d, point.network, point.pdk, batch=batch),
-    )

@@ -8,11 +8,11 @@ point's exact footprint together with a certified *upper* bound on its
 EDP benefit, so the streaming executor can discard a grid point that a
 frontier member already dominates — without ever pricing its M3D design.
 
-The bound is the batch kernel's rows' mandatory terms, not a restatement
-of the simulator.  The spec packs into the same 2D and M3D
-:class:`~repro.batch.pack.DesignRow`\\ s its evaluation reads; the 2D row
+The bound is the mandatory terms of the one per-layer cost model
+(:mod:`repro.costmodel`).  The spec packs into the same 2D and M3D
+:class:`~repro.costmodel.DesignRow`\\ s its evaluation reads; the 2D row
 is priced exactly (the memoized totals a surviving point's evaluation
-then reuses), the M3D row by ``repro.batch.kernel._layer_bounds``: only
+then reuses), the M3D row by :func:`~repro.costmodel.layer_bounds`: only
 the cost-model terms no CS count can remove, so one memo entry serves
 every ``tier_pairs`` / ``n_cs`` sibling.  The streaming executor bounds
 a whole chunk in one vectorized call

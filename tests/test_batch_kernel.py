@@ -335,8 +335,7 @@ def test_bound_terms_are_the_simulators_mandatory_terms(network):
     count's slack vanishes: the dynamic energy at ``n_cs = 1``, and the
     cycles with a CS per output-channel tile on every layer that is not
     weight-load-bound (the rest stay strictly above the bound)."""
-    from repro.batch.backend import scalar_ops
-    from repro.batch.kernel import _layer_bounds
+    from repro.costmodel import layer_bounds, scalar_ops
     from repro.batch.pack import workload_stage
     from repro.workloads.layers import LayerKind
 
@@ -354,7 +353,7 @@ def test_bound_terms_are_the_simulators_mandatory_terms(network):
     stream_bound = 0
     for feature, layer, at_one, at_many in zip(
             features, point.network.layers, single.layers, wide.layers):
-        cycles, energy = _layer_bounds(scalar_ops, row, feature)
+        cycles, energy = layer_bounds(scalar_ops, row, feature)
         assert energy == at_one.dynamic_energy
         if layer.kind == LayerKind.POOL:
             assert cycles == at_many.cycles
