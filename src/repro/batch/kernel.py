@@ -24,7 +24,9 @@ Certified pruning bounds (:meth:`BatchKernel.bound_calls`) run the same
 three steps over the same rows: the 2D row is priced exactly (the very
 :data:`~repro.batch.pack.ROW_RESULTS` entry a survivor's evaluation
 then reads), the M3D row by :func:`~repro.costmodel.layer_bounds`, the
-mandatory terms of the same model.  Scalar
+mandatory terms of the same model.  The kernel keeps the last bound
+call's packed points, so a survivor's evaluation reuses its pack and a
+pruned sweep packs each point once.  Scalar
 :func:`~repro.sweep.bounds.spec_bounds` is a batch of one.
 
 The kernel plugs into ``EvaluationEngine.map_batched`` as the batch
@@ -214,6 +216,10 @@ class BatchKernel:
         self.pdk = pdk
         self.base = pdk if pdk is not None else foundry_m3d_pdk()
         self._pdk_verdicts: dict[int, tuple] = {}
+        #: The last bound call's packs, ``id(spec) -> (spec, point)``:
+        #: a survivor's evaluation reuses its bound-time pack.  Each
+        #: entry keeps its spec alive, so a matching id is that spec.
+        self._bound_packs: dict[int, tuple] = {}
 
     def _accepts_pdk(self, pdk) -> bool:
         """Whether a call's explicit PDK matches this kernel's base
@@ -258,13 +264,21 @@ class BatchKernel:
         The ``batch_fn`` of the streaming sweep's ``sweep.bounds`` stage:
         one vectorized bound per chunk over the same rows the evaluation
         reads, with the same call acceptance and scalar fallback
-        (``spec_bounds``) as :meth:`evaluate_calls`.
+        (``spec_bounds``) as :meth:`evaluate_calls`.  The packed points
+        are kept until the next bound call, so evaluating a survivor
+        (the same spec object) does not pack it again.
         """
-        return self._run(calls, bound_points, spec_bounds)
+        self._bound_packs = {}
+        return self._run(calls, bound_points, spec_bounds, remember=True)
 
-    def _run(self, calls, price, scalar_fn) -> list:
+    def _run(self, calls, price, scalar_fn, remember=False) -> list:
         """Pack the calls this kernel accepts, ``price`` them as one
-        batch, and answer the rest through ``scalar_fn``."""
+        batch, and answer the rest through ``scalar_fn``.
+
+        A spec the last bound call packed (checked by identity) reuses
+        that pack; with ``remember``, this call's packs are kept.
+        """
+        known = self._bound_packs
         results: list = [None] * len(calls)
         packed: "list[tuple[int, PackedPoint]]" = []
         fallback: list[int] = []
@@ -275,13 +289,22 @@ class BatchKernel:
                 supported = self.pdk is None if len(args) == 1 \
                     else self._accepts_pdk(args[1])
             if supported:
-                try:
-                    packed.append((index, pack_point(args[0], self.base)))
+                spec = args[0]
+                entry = known.get(id(spec))
+                if entry is not None:
+                    packed.append((index, entry[1]))
                     continue
+                try:
+                    point = pack_point(spec, self.base)
                 except Exception:
                     # Unsupported or invalid specs take the scalar path,
                     # which raises its own diagnostics.
                     pass
+                else:
+                    packed.append((index, point))
+                    if remember:
+                        known[id(spec)] = (spec, point)
+                    continue
             fallback.append(index)
 
         priced, delta_hits = price([point for _, point in packed])

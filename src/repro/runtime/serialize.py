@@ -28,6 +28,10 @@ composed from parts instead of built from a lowered tree:
   splices it in.  Each build adds one to the ``serialize.text_builds``
   counter group (per class name), so "computed once" shows up in
   :class:`~repro.runtime.engine.RunReport` and ``--runtime-stats``.
+  Text is carried per *object*: sweep expansion interns spec sections
+  (:meth:`~repro.spec.sweep.SweepSpec.iter_specs`), so a grid builds one
+  text per distinct section tuple, not one per point.  A section built
+  separately but equal to another builds its own.
 * **Nothing else is cached.**  Per-point objects (a ``DesignSpec``, an
   evaluation, a checkpoint record) are re-encoded on each call, so their
   text never outlives them.

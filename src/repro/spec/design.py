@@ -39,6 +39,8 @@ __all__ = [
     "WorkloadSpec",
     "field_paths",
     "load_design_spec",
+    "override_section",
+    "section_of",
 ]
 
 #: How the 2D baseline's CS count is chosen.  ``iso`` keeps the paper's
@@ -69,17 +71,22 @@ def _check_keys(section: str, data: Mapping[str, Any],
             f"allowed: {', '.join(allowed)}")
 
 
+# The checks format their message only on failure: sweeps construct
+# sections in their inner loop.
+
 def _checked_float(name: str, value: Any, minimum: float) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    require(value >= minimum, f"{name} must be >= {minimum}, got {value!r}")
+    if not value >= minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value!r}")
     return float(value)
 
 
 def _checked_int(name: str, value: Any, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    require(value >= minimum, f"{name} must be >= {minimum}, got {value!r}")
+    if not value >= minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value!r}")
     return value
 
 
@@ -200,13 +207,16 @@ class ArchSpec:
                 raise ConfigurationError(
                     "give either arch.capacity_bits or arch.capacity_mb, "
                     "not both")
-            megabytes = kwargs.pop("capacity_mb")
-            if isinstance(megabytes, bool) or not isinstance(
-                    megabytes, (int, float)):
-                raise ConfigurationError(
-                    f"arch.capacity_mb must be a number, got {megabytes!r}")
-            kwargs["capacity_bits"] = int(megabytes * MEGABYTE)
+            kwargs["capacity_bits"] = _capacity_bits(kwargs.pop("capacity_mb"))
         return cls(**kwargs)
+
+
+def _capacity_bits(megabytes: Any) -> int:
+    """``arch.capacity_mb`` (the hand-writing convenience) in bits."""
+    if isinstance(megabytes, bool) or not isinstance(megabytes, (int, float)):
+        raise ConfigurationError(
+            f"arch.capacity_mb must be a number, got {megabytes!r}")
+    return int(megabytes * MEGABYTE)
 
 
 @carries_text
@@ -363,6 +373,57 @@ def field_paths() -> tuple[str, ...]:
     return tuple(paths)
 
 
+_SECTION_NAMES = frozenset(name for name, _ in _SECTIONS)
+
+#: ``(section class, dotted path) -> field name`` for every override
+#: path (``arch.capacity_mb`` included).
+_FIELD_OF: dict[tuple[type, str], str] = {
+    (cls, f"{section}.{name}"): name
+    for section, cls in _SECTIONS
+    for name in [f.name for f in fields(cls)]
+    + (["capacity_mb"] if cls is ArchSpec else [])}
+
+
+def _unknown_path(path: Any) -> ConfigurationError:
+    return ConfigurationError(
+        f"unknown spec path {path!r}; valid paths: "
+        f"{', '.join(field_paths())}")
+
+
+def section_of(path: Any) -> str:
+    """The section a dotted override path names (``"arch"`` for
+    ``"arch.tier_pairs"``); an unknown section raises
+    :class:`~repro.errors.ConfigurationError`."""
+    section = str(path).partition(".")[0]
+    if section not in _SECTION_NAMES:
+        raise _unknown_path(path)
+    return section
+
+
+def override_section(sub: Any, changes: Any) -> Any:
+    """Section ``sub`` with ``(path, value)`` dotted overrides applied.
+
+    The one override rule: overrides apply in order (a later value for
+    the same field wins, and the value it replaces must be valid on its
+    own), ``arch.capacity_mb`` sets ``capacity_bits``, and a path that
+    names no field of ``sub``'s section raises
+    :class:`~repro.errors.ConfigurationError`.  The result is one
+    validated construction, whatever the number of overrides.
+    """
+    kwargs: dict[str, Any] = {}
+    cls = type(sub)
+    for path, value in changes:
+        name = _FIELD_OF.get((cls, path))
+        if name is None:
+            raise _unknown_path(path)
+        if name == "capacity_mb":
+            name, value = "capacity_bits", _capacity_bits(value)
+        if name in kwargs:
+            replace(sub, **kwargs)
+        kwargs[name] = value
+    return replace(sub, **kwargs)
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """One declarative design point: tech + arch + workload + flow.
@@ -438,32 +499,27 @@ class DesignSpec:
 
         ``spec.updated({"tech.delta": 1.6, "arch.capacity_mb": 32})``
         returns a new validated spec; an unknown path raises
-        :class:`~repro.errors.ConfigurationError`.  This is the primitive
-        sweep axes expand through.
+        :class:`~repro.errors.ConfigurationError`.  Each touched section
+        is built once through :func:`override_section`.  When a change
+        is invalid, the error raised is that of the first change, in
+        order, that fails on its own — the one applying the changes one
+        at a time would stop at.
         """
         if not changes:
             return self
-        spec = self
-        sections = dict(_SECTIONS)
-        for path, value in changes.items():
-            section, _, name = str(path).partition(".")
-            if section not in sections or not name:
-                raise ConfigurationError(
-                    f"unknown spec path {path!r}; valid paths: "
-                    f"{', '.join(field_paths())}")
-            sub = getattr(spec, section)
-            if name == "capacity_mb" and section == "arch":
-                jsonable = sub.to_jsonable()
-                del jsonable["capacity_bits"]
-                jsonable["capacity_mb"] = value
-                spec = replace(spec, arch=ArchSpec.from_jsonable(jsonable))
-                continue
-            if name not in {f.name for f in fields(sub)}:
-                raise ConfigurationError(
-                    f"unknown spec path {path!r}; valid paths: "
-                    f"{', '.join(field_paths())}")
-            spec = replace(spec, **{section: replace(sub, **{name: value})})
-        return spec
+        try:
+            grouped: dict[str, list] = {}
+            for path, value in changes.items():
+                grouped.setdefault(section_of(path), []).append(
+                    (path, value))
+            return replace(self, **{
+                section: override_section(getattr(self, section), pairs)
+                for section, pairs in grouped.items()})
+        except ConfigurationError:
+            for path, value in changes.items():
+                override_section(getattr(self, section_of(path)),
+                                 ((path, value),))
+            raise
 
     def with_capacity(self, capacity_bits: int) -> "DesignSpec":
         """A copy at a different RRAM capacity."""

@@ -20,6 +20,10 @@ through plain JSON::
 Expansion order is deterministic: zip combinations outermost, then the
 grid axes in declaration order (itertools.product semantics), then the
 explicit points.
+
+Expansion walks the grid as an odometer over interned sections, each
+validated once per distinct tuple of its own axis values, in memory
+bounded by axis lengths (:meth:`SweepSpec.iter_specs`).
 """
 
 from __future__ import annotations
@@ -27,11 +31,16 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterator, Mapping
 
 from repro.errors import ConfigurationError, require
-from repro.spec.design import DesignSpec, field_paths
+from repro.spec.design import (
+    DesignSpec,
+    field_paths,
+    override_section,
+    section_of,
+)
 
 __all__ = ["SweepSpec", "load_sweep_spec"]
 
@@ -146,17 +155,97 @@ class SweepSpec:
         million-point grid costs one spec of memory at a time, so the
         streaming executor (:mod:`repro.sweep.stream`) can walk grids far
         too large to materialize.  The order is identical to
-        :meth:`expand`.
+        :meth:`expand`, and every point equals ``base.updated(changes)``
+        for its zip-then-grid ``changes``.
+
+        Expansion is an odometer over interned sections.  Each swept
+        section (tech, arch, workload, flow) is built by one validated
+        :func:`~repro.spec.design.override_section` call per distinct
+        tuple of its own axis values, and every point is assembled from
+        the current instances with no second validation; unswept
+        sections are the base's own objects.  The zip index is the
+        odometer's outermost axis.  A section keeps its instances in a
+        table keyed by the position of its innermost moving axis,
+        cleared whenever one of its outer axes moves, so memory is
+        bounded by axis lengths, not by the grid (a section whose axes
+        interleave with another's may then build an equal tuple again).
+
+        Validation stays lazy: an invalid axis value raises when the
+        first point holding it is built, with the error
+        :meth:`DesignSpec.updated` gives for that point.
         """
-        zip_count = len(self.zipped[0][1]) if self.zipped else 1
-        grid_paths = [path for path, _ in self.grid]
-        for index in range(zip_count):
-            lockstep = {path: values[index] for path, values in self.zipped}
-            for combo in itertools.product(
-                    *(values for _, values in self.grid)):
-                changes = dict(lockstep)
-                changes.update(zip(grid_paths, combo))
-                yield self.base.updated(changes)
+        grid = dict(self.grid)
+        order = list(dict.fromkeys(
+            [path for path, _ in self.zipped] + list(grid)))
+        # Odometer axes, outermost first: the zip index (the paths a grid
+        # axis does not override), then each grid axis.  Only axes that
+        # move become levels; the rest hold their first value.
+        lockstep = [(path, values) for path, values in self.zipped
+                    if path not in grid]
+        axes = [(lockstep, len(self.zipped[0][1]) if self.zipped else 1)]
+        axes += [([(path, values)], len(values)) for path, values in self.grid]
+        current = {path: values[0]
+                   for group, _ in axes for path, values in group}
+        levels = [(group, count) for group, count in axes if count > 1]
+        level_of = {path: depth for depth, (group, _) in enumerate(levels)
+                    for path, _ in group}
+        names = [f.name for f in fields(DesignSpec)]
+        base_sections = [getattr(self.base, name) for name in names]
+        instances = list(base_sections)
+        # Per level: the (slot, paths, table) of each section whose
+        # innermost level it is, and the tables its moves invalidate.
+        inner: list[list] = [[] for _ in levels]
+        clears: list[list] = [[] for _ in levels]
+        fixed = []                         # swept sections with no level
+        for slot, name in enumerate(names):
+            paths = [path for path in order if section_of(path) == name]
+            depths = sorted({level_of[path] for path in paths
+                             if path in level_of})
+            if depths:
+                table: dict = {}
+                inner[depths[-1]].append((slot, paths, table))
+                for depth in depths[:-1]:
+                    clears[depth].append(table)
+            elif paths:
+                fixed.append((slot, paths))
+
+        def build(slot: int, paths: list) -> Any:
+            try:
+                return override_section(
+                    base_sections[slot],
+                    [(path, current[path]) for path in paths])
+            except ConfigurationError:
+                # Raise what base.updated raises for this point.  Deeper
+                # levels hold its values or those of a point already
+                # built (valid ones), which cannot change the error.
+                self.base.updated({path: current[path] for path in order})
+                raise
+
+        last = len(levels) - 1
+
+        def walk(depth: int) -> Iterator[DesignSpec]:
+            group, count = levels[depth]
+            for index in range(count):
+                for path, values in group:
+                    current[path] = values[index]
+                for table in clears[depth]:
+                    table.clear()
+                for slot, paths, table in inner[depth]:
+                    instance = table.get(index)
+                    if instance is None:
+                        instance = table[index] = build(slot, paths)
+                    instances[slot] = instance
+                if depth == last:
+                    yield DesignSpec(*instances)
+                else:
+                    yield from walk(depth + 1)
+
+        for slot, paths in fixed:
+            instances[slot] = build(slot, paths)
+        if levels:
+            yield from walk(0)
+        else:
+            yield DesignSpec(*instances)
         yield from self.points
 
     def chunks(self, size: int) -> Iterator[tuple[DesignSpec, ...]]:

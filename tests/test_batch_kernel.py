@@ -435,6 +435,56 @@ def test_bounds_with_a_mismatched_pdk_fall_back_to_scalar():
     assert bound != spec_bounds(spec)
 
 
+@pytest.fixture
+def packed_specs(monkeypatch):
+    """Every spec the kernel packs, in order."""
+    import repro.batch.kernel as kernel_module
+
+    packed = []
+
+    def counting_pack(spec, pdk):
+        packed.append(spec)
+        return pack_point(spec, pdk)
+
+    monkeypatch.setattr(kernel_module, "pack_point", counting_pack)
+    return packed
+
+
+def test_evaluation_reuses_the_bound_time_pack(packed_specs):
+    specs = _bound_grid_specs()[:24]
+    survivors = specs[::3]
+    expected = BatchKernel().evaluate_specs(survivors)
+    del packed_specs[:]
+    kernel = BatchKernel()
+    kernel.bound_calls([((spec,), {}) for spec in specs])
+    assert packed_specs == specs
+    assert kernel.evaluate_specs(survivors) == expected
+    assert len(packed_specs) == 24          # the survivors' packs reused
+    # Reuse is by identity: an equal but distinct spec is packed.
+    copies = [DesignSpec.from_json(spec.to_json()) for spec in survivors]
+    assert kernel.evaluate_specs(copies) == expected
+    assert packed_specs[24:] == copies
+    # The next bound call drops the previous call's packs.
+    mark = len(packed_specs)
+    kernel.bound_calls([((specs[0],), {})])
+    kernel.evaluate_specs([specs[0], specs[3]])
+    assert packed_specs[mark:] == [specs[0], specs[3]]
+
+
+def test_pruned_batched_sweep_packs_each_point_once(packed_specs):
+    sweep = SweepSpec(grid={
+        "arch.capacity_mb": [16, 32, 48, 64, 96, 128],
+        "arch.tier_pairs": [1, 2, 4, 8],
+        "arch.precision_bits": [4, 8],
+        "workload.network": ["resnet18", "mobilenet_v1"],
+    })
+    result = run_streaming_sweep(sweep, engine=EvaluationEngine(jobs=1),
+                                 chunk_size=16, prune=True, batch=True,
+                                 collect=False)
+    assert result.pruned > 0
+    assert len(packed_specs) == len(sweep) == 96
+
+
 # --- wired call sites ------------------------------------------------------------
 
 

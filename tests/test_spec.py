@@ -1,5 +1,7 @@
 """The declarative spec layer: serialization, sweeps, resolution, CLI."""
 
+import dataclasses
+import itertools
 import json
 import warnings
 
@@ -11,6 +13,7 @@ from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.runtime.engine import EvaluationEngine
 from repro.runtime.memo import reset_memoization
+from repro.runtime.serialize import TEXT_BUILDS
 from repro.spec import (
     ArchSpec,
     DesignSpec,
@@ -28,6 +31,7 @@ from repro.spec import (
 from repro.spec.design import BASELINE_POLICIES, CS_PRESETS
 from repro.spec.sweep import reset_duplicate_axis_warnings
 from repro.spec.resolve import build_workload
+from repro.sweep import chunk_hash
 from repro.units import MEGABYTE
 from repro.workloads.models import resnet18
 from repro.workloads.transformer import tiny_encoder
@@ -281,6 +285,246 @@ def test_plain_design_spec_loads_as_one_point_sweep(tmp_path):
     path.write_text(DesignSpec().to_json())
     sweep = load_sweep_spec(str(path))
     assert sweep.expand() == (DesignSpec(),)
+
+
+# --- expansion against the per-point oracle --------------------------------------
+
+def _oracle_updated(spec, changes):
+    """Per-change ``DesignSpec.updated``: one validated section build per
+    change, in order (``arch.capacity_mb`` through ``from_jsonable``)."""
+    for path, value in changes.items():
+        section, _, name = path.partition(".")
+        sub = getattr(spec, section)
+        if (section, name) == ("arch", "capacity_mb"):
+            jsonable = sub.to_jsonable()
+            del jsonable["capacity_bits"]
+            jsonable["capacity_mb"] = value
+            spec = dataclasses.replace(spec,
+                                       arch=ArchSpec.from_jsonable(jsonable))
+        else:
+            spec = dataclasses.replace(
+                spec, **{section: dataclasses.replace(sub, **{name: value})})
+    return spec
+
+
+def _oracle_iter_specs(sweep):
+    """Zip outermost, then the grid product, one ``updated`` per point."""
+    zip_count = len(sweep.zipped[0][1]) if sweep.zipped else 1
+    grid_paths = [path for path, _ in sweep.grid]
+    for index in range(zip_count):
+        lockstep = {path: values[index] for path, values in sweep.zipped}
+        for combo in itertools.product(*(values for _, values in sweep.grid)):
+            changes = dict(lockstep)
+            changes.update(zip(grid_paths, combo))
+            yield _oracle_updated(sweep.base, changes)
+    yield from sweep.points
+
+
+#: Valid values per sweepable path, covering all four sections.
+_AXIS_VALUES = {
+    "tech.delta": [1.0, 1.5, 2],
+    "tech.beta": [0.5, 1.0, 2.0],
+    "tech.memory": [None, "rram", "stt_mram"],
+    "arch.capacity_mb": [16, 32, 64.5],
+    "arch.capacity_bits": [2 ** 20, 12345, 2 ** 24],
+    "arch.tier_pairs": [1, 2, 4],
+    "arch.n_cs": [None, 2, 8],
+    "arch.baseline": list(BASELINE_POLICIES),
+    "arch.precision_bits": [4, 8, 16],
+    "workload.network": ["resnet18", "alexnet", "tiny_encoder"],
+    "workload.layer": [None, "L4.1 CONV2"],
+    "workload.batch": [1, 4],
+    "flow.aspect_ratio": [0.5, 1.0, 2.0],
+    "flow.thermal": [True, False],
+    "flow.frequency_mhz": [None, 100.0, 250.0],
+}
+
+
+#: Invalid values mixed into the pools of the error-path property.
+_INVALID_AXIS_VALUES = {
+    "tech.delta": [0.5], "arch.capacity_mb": [0, "x"],
+    "arch.capacity_bits": [0], "arch.tier_pairs": [0],
+    "arch.baseline": ["grown"], "workload.network": [""],
+    "workload.batch": [0], "flow.aspect_ratio": [-1.0],
+}
+
+
+@st.composite
+def _sweeps(draw, pool=_AXIS_VALUES):
+    paths = sorted(pool)
+    grid_paths = draw(st.lists(st.sampled_from(paths), unique=True,
+                               max_size=4))
+    grid = [(path, draw(st.lists(st.sampled_from(pool[path]),
+                                 min_size=1, max_size=3)))
+            for path in grid_paths]
+    zip_paths = draw(st.lists(st.sampled_from(paths), unique=True,
+                              max_size=2))
+    length = draw(st.integers(min_value=1, max_value=3))
+    zipped = [(path, draw(st.lists(st.sampled_from(pool[path]),
+                                   min_size=length, max_size=length)))
+              for path in zip_paths]
+    base = draw(_SPECS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # duplicate grid values
+        return SweepSpec(base=base, grid=grid, zipped=zipped)
+
+
+def _assert_expands_like_the_oracle(sweep, chunk_size=5):
+    specs = list(sweep.iter_specs())
+    expected = list(_oracle_iter_specs(sweep))
+    assert specs == expected
+    assert len(sweep) == len(specs)
+    assert [spec.fingerprint() for spec in specs] \
+        == [spec.fingerprint() for spec in expected]
+    oracle_chunks = [tuple(expected[start:start + chunk_size])
+                     for start in range(0, len(expected), chunk_size)]
+    assert [chunk_hash(chunk) for chunk in sweep.chunks(chunk_size)] \
+        == [chunk_hash(chunk) for chunk in oracle_chunks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep=_sweeps(), chunk_size=st.integers(min_value=1, max_value=7))
+def test_interned_expansion_equals_the_per_point_oracle(sweep, chunk_size):
+    _assert_expands_like_the_oracle(sweep, chunk_size)
+
+
+@pytest.mark.parametrize("grid", [
+    {"arch.capacity_mb": [16, 32], "arch.capacity_bits": [12345, 2 ** 20]},
+    {"arch.capacity_bits": [12345, 2 ** 20], "arch.capacity_mb": [16, 32]},
+    {"arch.capacity_bits": [12345],
+     "workload.network": ["resnet18", "alexnet"],
+     "arch.capacity_mb": [16, 32]},
+])
+def test_capacity_mb_and_bits_axes_in_either_order(grid):
+    _assert_expands_like_the_oracle(SweepSpec(grid=grid))
+    _assert_expands_like_the_oracle(SweepSpec(
+        zipped={"arch.capacity_mb": [16, 32]}, grid=grid))
+
+
+def test_a_grid_axis_overrides_the_zip_axis_of_the_same_path():
+    _assert_expands_like_the_oracle(SweepSpec(
+        zipped={"arch.tier_pairs": [2, 4], "tech.delta": [1.0, 2.0]},
+        grid={"arch.tier_pairs": [1, 8], "arch.precision_bits": [4, 8]}))
+
+
+def test_interleaved_sections_expand_like_the_oracle():
+    _assert_expands_like_the_oracle(SweepSpec(grid={
+        "arch.capacity_mb": [16, 32],
+        "workload.network": ["resnet18", "alexnet"],
+        "arch.tier_pairs": [1, 2, 4], "tech.delta": [1.0, 2.0],
+        "arch.precision_bits": [4, 8], "flow.thermal": [False]}))
+
+
+def _expand_until_error(specs):
+    """``(specs yielded, ConfigurationError message or None)``."""
+    yielded = []
+    try:
+        for spec in specs:
+            yielded.append(spec)
+    except ConfigurationError as error:
+        return yielded, str(error)
+    return yielded, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep=_sweeps(pool={
+    path: values + _INVALID_AXIS_VALUES.get(path, [])
+    for path, values in _AXIS_VALUES.items()}))
+def test_invalid_axis_values_fail_where_the_oracle_fails(sweep):
+    assert _expand_until_error(sweep.iter_specs()) \
+        == _expand_until_error(_oracle_iter_specs(sweep))
+
+
+@pytest.mark.parametrize("grid, expected_points, message", [
+    ({"arch.tier_pairs": [1, 0]}, 1,
+     "arch.tier_pairs must be >= 1, got 0"),
+    ({"arch.capacity_mb": [32, 64], "arch.tier_pairs": [1, 0],
+      "workload.network": ["resnet18", "alexnet"]}, 2,
+     "arch.tier_pairs must be >= 1, got 0"),
+    # Two invalid values at the first failing point: the earlier axis
+    # names the error, as applying the changes in order would.
+    ({"workload.batch": [1, 0], "arch.tier_pairs": [1, 0]}, 1,
+     "arch.tier_pairs must be >= 1, got 0"),
+    ({"arch.tier_pairs": [1, 2], "tech.delta": [1.0, 0.5],
+      "arch.precision_bits": [8, 0]}, 1,
+     "arch.precision_bits must be >= 1, got 0"),
+    ({"tech.delta": [0.5], "arch.precision_bits": [0]}, 0,
+     "tech.delta must be >= 1.0, got 0.5"),
+    # A value a later axis overrides must still be valid on its own.
+    ({"arch.capacity_mb": [1e-7, 1], "arch.capacity_bits": [5]}, 0,
+     "arch.capacity_bits must be >= 1, got 0"),
+    ({"arch.capacity_bits": [0], "arch.capacity_mb": [1]}, 0,
+     "arch.capacity_bits must be >= 1, got 0"),
+    ({"arch.capacity_mb": ["x"]}, 0,
+     "arch.capacity_mb must be a number, got 'x'"),
+])
+def test_an_invalid_axis_value_raises_at_its_first_point(
+        grid, expected_points, message):
+    sweep = SweepSpec(grid=grid)
+    specs, error = _expand_until_error(sweep.iter_specs())
+    assert error == message
+    assert len(specs) == expected_points
+    assert specs == list(itertools.islice(_oracle_iter_specs(sweep),
+                                          expected_points))
+
+
+def test_an_invalid_zip_value_raises_at_its_first_point():
+    sweep = SweepSpec(zipped={"flow.aspect_ratio": [1.0, -1.0]},
+                      grid={"tech.delta": [1.0, 2.0]})
+    specs, error = _expand_until_error(sweep.iter_specs())
+    assert error == "flow.aspect_ratio must be >= 0.0, got -1.0"
+    assert len(specs) == 2
+
+
+def test_updated_error_messages_are_pinned():
+    def message(changes):
+        with pytest.raises(ConfigurationError) as error:
+            DesignSpec().updated(changes)
+        return str(error.value)
+
+    valid = ", ".join(field_paths())
+    assert message({"arch.tier_pairs": 0}) \
+        == "arch.tier_pairs must be >= 1, got 0"
+    assert message({"tech.delta": 0.5}) \
+        == "tech.delta must be >= 1.0, got 0.5"
+    assert message({"tech.gamma": 2.0}) \
+        == f"unknown spec path 'tech.gamma'; valid paths: {valid}"
+    assert message({"delta": 2.0}) \
+        == f"unknown spec path 'delta'; valid paths: {valid}"
+    # The first change that fails on its own names the error.
+    assert message({"tech.delta": 0.5, "bogus.x": 1}) \
+        == "tech.delta must be >= 1.0, got 0.5"
+    assert message({"bogus.x": 1, "tech.delta": 0.5}) \
+        == f"unknown spec path 'bogus.x'; valid paths: {valid}"
+    assert message({"arch.tier_pairs": 1, "tech.delta": 0.1,
+                    "arch.precision_bits": 0}) \
+        == "tech.delta must be >= 1.0, got 0.1"
+    assert message({"arch.capacity_mb": 0, "arch.capacity_bits": 5}) \
+        == "arch.capacity_bits must be >= 1, got 0"
+
+
+def test_expansion_builds_each_distinct_section_once():
+    """Keying every point builds one carried text per distinct section
+    tuple: equal sections are one interned object, not one per point."""
+    sweep = SweepSpec(grid={
+        "arch.capacity_mb": [12 + 2 * i for i in range(5)],
+        "arch.tier_pairs": [1, 2, 4, 8],
+        "arch.precision_bits": [4, 8],
+        "workload.network": ["resnet18", "mobilenet_v1"],
+    })
+    before = dict(TEXT_BUILDS)
+    specs = []
+    for chunk in sweep.chunks(16):
+        chunk_hash(chunk)
+        specs.extend(chunk)
+
+    def builds(name):
+        return TEXT_BUILDS.get(name, 0) - before.get(name, 0)
+
+    assert len(specs) == 80
+    assert builds("ArchSpec") == len({spec.arch for spec in specs}) == 40
+    assert builds("WorkloadSpec") \
+        == len({spec.workload for spec in specs}) == 2
 
 
 # --- resolution ------------------------------------------------------------------
