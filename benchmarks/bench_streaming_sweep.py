@@ -21,7 +21,10 @@ records in ``BENCH_PR6.json``:
 measurements and invariants are identical.  ``--batch`` runs the cold
 run, the warm resume and the exactness spot check through the batch
 kernel (bounds and evaluations both), whose pruned frontier is checked
-against the exhaustive frontier of batched evaluations.  ``--check``
+against the exhaustive frontier of batched evaluations, and also times
+the same grid unpruned against pruned (no checkpoint, best of three
+alternated runs each) so "pruning never costs time" has a measurement;
+it is reported, not gated.  ``--check``
 exits non-zero when an invariant fails (resume re-evaluated a chunk, or
 the exactness spot check mismatched).
 
@@ -89,6 +92,23 @@ def exactness_spot_check(batch: bool = False) -> bool:
         dict.fromkeys((x, y) for x, y, _ in expected))
 
 
+def time_prune_arms(sweep: SweepSpec, chunk_size: int,
+                    repeats: int = 3) -> dict:
+    """Best-of-``repeats`` batched wall time of ``sweep`` pruned and
+    unpruned, runs alternated, without a checkpoint."""
+    best = {True: float("inf"), False: float("inf")}
+    for _ in range(repeats):
+        for prune in (True, False):
+            start = time.perf_counter()
+            run_streaming_sweep(sweep, engine=EvaluationEngine(jobs=1),
+                                chunk_size=chunk_size, prune=prune,
+                                collect=False, batch=True)
+            best[prune] = min(best[prune], time.perf_counter() - start)
+    return {"pruned_s": round(best[True], 4),
+            "unpruned_s": round(best[False], 4),
+            "pruned_over_unpruned": round(best[True] / best[False], 3)}
+
+
 def measure(quick: bool = False, chunk_size: int = 512,
             batch: bool = False) -> dict:
     sweep = build_sweep(quick=quick)
@@ -111,6 +131,7 @@ def measure(quick: bool = False, chunk_size: int = 512,
         warm_stage = next((s for s in warm_engine.report().stages
                            if s.name == "sweep.evaluate"), None)
 
+    arms = time_prune_arms(sweep, chunk_size) if batch else None
     exact = exactness_spot_check(batch=batch)
     return {
         "benchmark": "streaming sweep, capacity x tiers x precision x "
@@ -140,6 +161,7 @@ def measure(quick: bool = False, chunk_size: int = 512,
             "speedup_vs_cold": round(cold_s / warm_s, 1),
         },
         "exactness_spot_check_36_point_grid": exact,
+        "prune_arms": arms,
     }
 
 
@@ -170,6 +192,12 @@ def main(argv=None) -> int:
           f"({result['resume']['resumed_chunks']}/{result['resume']['chunks']}"
           f" chunks replayed, "
           f"{result['resume']['reevaluated_points']} points re-evaluated)")
+    if result["prune_arms"] is not None:
+        arms = result["prune_arms"]
+        print(f"arms   : pruned {arms['pruned_s'] * 1e3:.1f} ms, unpruned "
+              f"{arms['unpruned_s'] * 1e3:.1f} ms "
+              f"(pruned/unpruned {arms['pruned_over_unpruned']:.3f}, "
+              f"batched, no checkpoint)")
     print(f"rss    : {result['rss_before_mb']:.0f} MB -> "
           f"{result['rss_peak_mb']:.0f} MB peak "
           f"(+{result['rss_growth_mb']:.0f} MB)")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.errors import require
+from repro.errors import ReproError, require
 from repro.faults import corrupt_text as _corrupt_text
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import is_enabled as _obs_enabled, span as _span
@@ -144,7 +144,7 @@ class ResultCache:
             try:
                 return loads(text)
             except (ValueError, TypeError, KeyError, AttributeError,
-                    ImportError):
+                    ImportError, ReproError):  # decoded fields invalid
                 self._quarantine(path)
                 return MISSING
 

@@ -8,7 +8,11 @@ JSON types (tagging dataclasses, enums, and tuples so the shape survives),
 and :func:`from_jsonable` reconstructs the original objects, re-running
 each dataclass's ``__post_init__`` validation on the way back up.
 Reconstruction only resolves classes from ``repro.*`` modules — a cache
-file cannot name arbitrary importable types.
+file cannot name arbitrary importable types.  Like encoding, decoding is
+**one decoder per class**: a type path is resolved (and trust-checked)
+the first time it is seen, and its decoder then passes the fields
+straight to the constructor, so a cache hit or a checkpoint replay costs
+no import machinery per object.  A refused path is never cached.
 
 :func:`dumps` is the one canonical encoder.  Its text is byte-identical
 to ``json.dumps(to_jsonable(obj), sort_keys=True, separators=(",",
@@ -271,24 +275,34 @@ _ENCODERS = _Encoders(_LEAF_TEXT)
 
 def from_jsonable(data: Any) -> Any:
     """Reconstruct the object tree lowered by :func:`to_jsonable`."""
+    if isinstance(data, dict):
+        return _decode_dict(data)
     if isinstance(data, list):
         return [from_jsonable(item) for item in data]
-    if not isinstance(data, dict):
-        return data
+    return data
+
+
+#: Values :func:`from_jsonable` returns unchanged (decoders skip the call).
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
+def _decode_dict(data: dict) -> Any:
     if DATACLASS_TAG in data:
-        cls = _resolve(data[DATACLASS_TAG])
-        if not dataclasses.is_dataclass(cls):
-            raise TypeError(f"{data[DATACLASS_TAG]} is not a dataclass")
-        kwargs = {name: from_jsonable(value)
-                  for name, value in data["fields"].items()}
-        return cls(**kwargs)
+        path = data[DATACLASS_TAG]
+        try:
+            decode = _DATACLASS_DECODERS[path]
+        except KeyError:
+            decode = _dataclass_decoder(path)
+        return decode(data["fields"])
     if ENUM_TAG in data:
-        cls = _resolve(data[ENUM_TAG])
-        if not (isinstance(cls, type) and issubclass(cls, enum.Enum)):
-            raise TypeError(f"{data[ENUM_TAG]} is not an enum")
+        path = data[ENUM_TAG]
+        try:
+            cls = _ENUMS[path]
+        except KeyError:
+            cls = _enum_class(path)
         return cls[data["name"]]
     if TUPLE_TAG in data:
-        return tuple(from_jsonable(item) for item in data[TUPLE_TAG])
+        return tuple([from_jsonable(item) for item in data[TUPLE_TAG]])
     if SET_TAG in data:
         return {from_jsonable(item) for item in data[SET_TAG]}
     if FROZENSET_TAG in data:
@@ -296,6 +310,35 @@ def from_jsonable(data: Any) -> Any:
     if DICT_TAG in data:
         return {key: from_jsonable(value) for key, value in data[DICT_TAG]}
     return {key: from_jsonable(value) for key, value in data.items()}
+
+
+#: Per-type-path decoders, each built once a path resolves (and passes
+#: the trust check) for the first time; a refused path is never cached.
+_DATACLASS_DECODERS: dict[str, Callable[[dict], Any]] = {}
+_ENUMS: dict[str, type] = {}
+
+
+def _dataclass_decoder(path: str) -> Callable[[dict], Any]:
+    cls = _resolve(path)
+    if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+        raise TypeError(f"{path} is not a dataclass")
+    plain = _PLAIN
+
+    def decode(fields: dict) -> Any:
+        # The constructor, so __post_init__ validates the decoded fields.
+        return cls(**{name: value if value.__class__ in plain
+                      else from_jsonable(value)
+                      for name, value in fields.items()})
+    _DATACLASS_DECODERS[path] = decode
+    return decode
+
+
+def _enum_class(path: str) -> type:
+    cls = _resolve(path)
+    if not (isinstance(cls, type) and issubclass(cls, enum.Enum)):
+        raise TypeError(f"{path} is not an enum")
+    _ENUMS[path] = cls
+    return cls
 
 
 def dumps(obj: Any) -> str:

@@ -11,6 +11,18 @@ re-evaluating them; the generic codec round-trips floats through
 shortest-repr JSON, so a replayed evaluation compares ``==`` to the
 original object.
 
+The store holds no records in memory: :meth:`SweepCheckpoint.store`
+writes a record and forgets it, and :meth:`SweepCheckpoint.get` reads
+and decodes one chunk's file when the sweep reaches that chunk, so
+replay memory is one chunk, like a cold run's.  Given the live chunk, a
+record does not rebuild its specs: each evaluation takes the live
+(interned) spec of its slot, once the spec embedded in the record is
+found to be that spec's canonical text — compared as text and cut out
+before the JSON parse, which then skips most of the record's bytes.  An
+unpruned record's evaluations must fill exactly the chunk's unfailed
+slots; a pruned one's keep slot order.  A record whose specs differ from
+the live chunk is refused like a torn one.
+
 Records for different sweeps never collide: each store keys its
 subdirectory by :func:`checkpoint_key`, a content hash over the sweep
 spec, the PDK, the chunk size (chunk boundaries move with it), the
@@ -24,16 +36,18 @@ results.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from repro.errors import EvaluationFailure, require
+from repro.errors import EvaluationFailure, ReproError, require
 from repro.faults import corrupt_text as _corrupt_text
+from repro.obs.trace import span as _span
 from repro.runtime.cache import atomic_write_text
 from repro.runtime.keys import stable_key
-from repro.runtime.serialize import dumps, loads
+from repro.runtime.serialize import TUPLE_TAG, dumps, from_jsonable, loads
 from repro.spec.design import DesignSpec
 from repro.spec.evaluate import SpecEvaluation, physical_call_kwargs
 from repro.spec.sweep import SweepSpec
@@ -83,14 +97,20 @@ class ChunkRecord:
     failures: tuple[EvaluationFailure, ...] = ()
 
 
+#: Errors that make a record file unusable (torn, foreign or stale).
+_UNREADABLE = (ValueError, TypeError, LookupError, AttributeError,
+               ImportError, ReproError)
+
+
 class SweepCheckpoint:
     """One streaming run's on-disk chunk records.
 
     ``SweepCheckpoint(directory, key)`` stores records as
     ``<directory>/<key prefix>/chunk-<index>.json``.  Unreadable files
     and hash mismatches degrade to a miss (the chunk re-evaluates); a
-    directory that cannot be created degrades to "nothing persists",
-    matching the disk cache's never-fail policy.
+    directory that cannot be created degrades to "nothing persists"
+    (records then live in memory for this store's lifetime), matching
+    the disk cache's never-fail policy.
     """
 
     def __init__(self, directory: str | os.PathLike, key: str) -> None:
@@ -101,9 +121,8 @@ class SweepCheckpoint:
             self._writable = True
         except OSError:
             self._writable = False
+        # Records of an unwritable store only (a writable one keeps none).
         self._records: dict[int, ChunkRecord] = {}
-        if self._writable:
-            self._load()
 
     @classmethod
     def for_sweep(cls, directory: str | os.PathLike, sweep: SweepSpec,
@@ -119,31 +138,38 @@ class SweepCheckpoint:
     def _path(self, index: int) -> Path:
         return self.directory / f"chunk-{index:08d}.json"
 
-    def _load(self) -> None:
-        try:
-            paths = sorted(self.directory.glob("chunk-*.json"))
-        except OSError:
-            return
-        for path in paths:
-            try:
-                record = loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError, TypeError, KeyError,
-                    AttributeError, ImportError):
-                continue  # torn/foreign file: that chunk re-evaluates
-            if isinstance(record, ChunkRecord):
-                self._records[record.index] = record
+    def get(self, index: int, specs_hash: str,
+            chunk: Sequence[DesignSpec] | None = None) -> ChunkRecord | None:
+        """The stored record for chunk ``index``, validated by hash.
 
-    def get(self, index: int, specs_hash: str) -> ChunkRecord | None:
-        """The stored record for chunk ``index``, validated by hash."""
-        record = self._records.get(index)
-        if record is not None and record.specs_hash == specs_hash:
-            return record
-        return None
+        Reads and decodes the chunk's file now.  With ``chunk`` (the
+        live specs, whose :func:`chunk_hash` is ``specs_hash``) the
+        record's evaluations take their specs from it, and a record
+        whose embedded specs are not the chunk's is a miss.
+        """
+        if not self._writable:
+            record = self._records.get(index)
+            if record is not None and record.specs_hash == specs_hash:
+                return record
+            return None
+        try:
+            text = self._path(index).read_text(encoding="utf-8")
+        except OSError:
+            return None
+        with _span("sweep.checkpoint.decode", bytes=len(text)):
+            try:
+                return _decode_record(text, index, specs_hash, chunk)
+            except _UNREADABLE:
+                return None  # torn/foreign/stale file: re-evaluate
 
     def store(self, record: ChunkRecord) -> bool:
-        """Persist one record atomically; False when the disk refused."""
-        self._records[record.index] = record
+        """Persist one record atomically; False when the disk refused.
+
+        The store keeps no copy, unless its directory could not be
+        created: then the record stays in memory instead.
+        """
         if not self._writable:
+            self._records[record.index] = record
             return False
         try:
             text = dumps(record)
@@ -155,7 +181,75 @@ class SweepCheckpoint:
         return atomic_write_text(self._path(record.index), text)
 
     def __len__(self) -> int:
-        return len(self._records)
+        try:
+            files = sum(1 for _ in self.directory.glob("chunk-*.json"))
+        except OSError:
+            files = 0
+        return len(self._records) + files
 
     def __contains__(self, index: int) -> bool:
-        return index in self._records
+        return index in self._records or self._path(index).is_file()
+
+
+#: Keys in a record's text.  JSON escapes each quote inside a string, so
+#: these only ever start an object key: the spec of an evaluation (or of
+#: a failure), and the record's failures, which follow its evaluations.
+_SPEC_KEY = '"spec":'
+_FAILURES_KEY = '"failures":'
+
+
+def _decode_record(text: str, index: int, specs_hash: str,
+                   chunk: Sequence[DesignSpec] | None) -> ChunkRecord | None:
+    """Chunk ``index``'s record from its file text; ``None`` when the text
+    is another record, or its specs are not the live ``chunk``'s."""
+    if chunk is None:
+        record = loads(text)
+        if (isinstance(record, ChunkRecord) and record.index == index
+                and record.specs_hash == specs_hash):
+            return record
+        return None
+    # Evaluations come first in a record's canonical text, in slot order
+    # (pruned and failed slots absent).  Each embedded spec that is the
+    # text of the next matching live slot is replaced by the slot's
+    # number: the spec check is a text comparison, and the parse skips
+    # about 80 % of the bytes.  Failures keep their specs.
+    spec_texts = [dumps(spec) for spec in chunk]
+    head, failures_key, tail = text.partition(_FAILURES_KEY)
+    pieces = head.split(_SPEC_KEY)
+    slot = spliced = 0
+    for piece in pieces[1:]:
+        while slot < len(chunk) and not piece.startswith(spec_texts[slot]):
+            slot += 1
+        if slot == len(chunk):
+            break
+        spliced += 1
+        pieces[spliced] = f"{slot}{piece[len(spec_texts[slot]):]}"
+        slot += 1
+    data = json.loads(_SPEC_KEY.join(pieces) + failures_key + tail)
+    fields = data["fields"]
+    items = fields["evaluations"][TUPLE_TAG]
+    if (fields["index"] != index or fields["specs_hash"] != specs_hash
+            or len(items) > spliced):  # an embedded spec is not live
+        return None
+    slots = [item["fields"]["spec"] for item in items]
+    if fields["pruned"] == 0:
+        # Unpruned: the evaluations fill exactly the slots that did not
+        # fail (an equal spec at another slot matches as well).
+        failed = {failure.index
+                  for failure in from_jsonable(fields.get("failures", ()))}
+        live = [slot for slot in range(len(chunk)) if slot not in failed]
+        if len(live) != len(slots) or any(
+                spec_texts[got] != spec_texts[slot]
+                for got, slot in zip(slots, live)):
+            return None
+        slots = live
+    for item, slot in zip(items, slots):
+        item["fields"]["spec"] = chunk[slot]
+    record = from_jsonable(data)
+    known = set(spec_texts)
+    if not isinstance(record, ChunkRecord) or (
+            len(record.evaluations) + record.pruned + len(record.failures)
+            != len(chunk) or any(dumps(failure.spec) not in known
+                                 for failure in record.failures)):
+        return None
+    return record

@@ -17,8 +17,9 @@ hopeless at the million-point grids the spec layer can express.
    bound per chunk (:meth:`~repro.batch.kernel.BatchKernel.bound_calls`);
 4. completed chunks persist as atomic checkpoint records
    (:mod:`repro.sweep.checkpoint`); re-running the same sweep replays
-   them instead of re-evaluating, so a SIGKILLed sweep resumes exactly
-   where its last flushed chunk left off;
+   them, one chunk's record at a time and onto the live chunk's specs,
+   instead of re-evaluating, so a SIGKILLed sweep resumes exactly where
+   its last flushed chunk left off;
 5. per-chunk progress lands in the obs metrics registry
    (``repro_sweep_chunks_total``, ``repro_sweep_points_total{status}``,
    ``repro_sweep_frontier_size``, ``repro_sweep_chunk_seconds``) and a
@@ -292,7 +293,7 @@ def stream_sweep(
             record = specs_hash = None
             if store is not None:  # only a store reads or records the hash
                 specs_hash = chunk_hash(chunk)
-                record = store.get(index, specs_hash)
+                record = store.get(index, specs_hash, chunk)
             with _span("sweep.chunk", index=index, size=len(chunk)) as sp:
                 if record is not None:
                     if record.failures:

@@ -20,9 +20,9 @@ from repro.faults import FaultPlan, FaultRule, clear_plan, injected_faults
 from repro.runtime.engine import EvaluationEngine
 from repro.runtime.keys import call_key
 from repro.runtime.pmap import RetryPolicy
-from repro.spec import evaluate_spec
+from repro.spec import DesignSpec, evaluate_spec, evaluate_specs
 from repro.spec.sweep import SweepSpec
-from repro.sweep import SweepCheckpoint, run_streaming_sweep
+from repro.sweep import SweepCheckpoint, chunk_hash, run_streaming_sweep
 
 BASE = {"arch": {}, "tech": {}, "workload": {"network": "resnet18"}}
 
@@ -210,8 +210,10 @@ def test_exceeding_the_failure_budget_raises_permanent_error(tmp_path):
     # The breaching chunk was flushed before raising: both failures are
     # on disk, so a resume retries exactly them.
     store = SweepCheckpoint.for_sweep(store_dir, sweep, chunk_size=4)
-    recorded = sum(len(store._records[i].failures)
-                   for i in store._records)
+    records = [store.get(index, chunk_hash(chunk), chunk)
+               for index, chunk in enumerate(sweep.chunks(4))]
+    recorded = sum(len(record.failures) for record in records
+                   if record is not None)
     assert recorded == 2
 
 
@@ -292,3 +294,19 @@ def test_truncated_cache_entry_quarantines(tmp_path):
     # The slot is reusable: a new write round-trips cleanly.
     fresh.put("k" * 40, {"value": 43})
     assert ResultCache(directory=tmp_path).get("k" * 40) == {"value": 43}
+
+
+def test_cache_entry_failing_validation_quarantines(tmp_path):
+    """Valid JSON whose decoded spec fails ``__post_init__`` is corrupt
+    too: it re-evaluates instead of raising out of the cache read."""
+    specs = [DesignSpec()]
+    cache_dir = tmp_path / "cache"
+    first = evaluate_specs(specs, engine=EvaluationEngine(
+        jobs=1, cache_dir=cache_dir))
+    (path,) = cache_dir.glob("*.json")
+    path.write_text(path.read_text().replace('"tier_pairs":1',
+                                             '"tier_pairs":0'))
+    engine = EvaluationEngine(jobs=1, cache_dir=cache_dir)
+    assert evaluate_specs(specs, engine=engine) == first
+    assert engine.cache.stats.corrupt == 1
+    assert path.with_suffix(".corrupt").exists()
